@@ -121,16 +121,16 @@ fn load_goldens() -> HashMap<String, RunResult> {
 /// The serial engine still reproduces its committed golden metrics.
 ///
 /// The bless run (`GARIBALDI_BLESS=1`) also regenerates the
-/// parallel-engine block at the default `epoch_cycles` with the
-/// `Optimistic` estimator — the exact-match baselines
-/// `optimistic_parallel_matches_golden_baselines` gates on.
+/// parallel-engine block at the default `epoch_cycles` with the `Ewma`
+/// estimator — the exact-match baselines
+/// `ewma_parallel_matches_golden_baselines` gates on.
 #[test]
 fn serial_engine_matches_golden_baselines() {
-    // Estimator axis pinned to Optimistic and train mode pinned to Sync:
-    // the serial block is independent of both, and the blessed parallel
-    // block must always be the (default epoch, Optimistic, sync) one,
-    // whatever GARIBALDI_ESTIMATOR / GARIBALDI_TRAIN_MODE say.
-    let mut suite = gate_suite_with(vec![EstimatorKind::Optimistic]);
+    // Estimator axis pinned to Ewma and train mode pinned to Sync: the
+    // serial block is independent of both, and the blessed parallel block
+    // must always be the (default epoch, Ewma, sync) one, whatever
+    // GARIBALDI_ESTIMATOR / GARIBALDI_TRAIN_MODE say.
+    let mut suite = gate_suite_with(vec![EstimatorKind::Ewma]);
     suite.train_mode = TrainMode::Sync;
     let jobs = suite.jobs();
     let serial_jobs = &jobs[..suite.points.len()];
@@ -179,20 +179,20 @@ fn serial_engine_matches_golden_baselines() {
     }
 }
 
-/// The `Optimistic` estimator reproduces the committed parallel-engine
-/// numbers exactly (float-noise tolerance): the issue-latency estimation
-/// refactor must never silently change the default parallel engine's
-/// simulated results.
+/// The `Ewma` estimator reproduces the committed parallel-engine results
+/// exactly — every serialized field — at the default epoch window, shard
+/// count and `sync_every`: a refactor must never silently change the
+/// parallel engine's simulated results.
 #[test]
-fn optimistic_parallel_matches_golden_baselines() {
+fn ewma_parallel_matches_golden_baselines() {
     if std::env::var("GARIBALDI_BLESS").as_deref() == Ok("1") {
         return; // blessing run: baselines are being rewritten.
     }
-    // Pinned to Optimistic and sync training regardless of
+    // Pinned to Ewma and sync training regardless of
     // GARIBALDI_ESTIMATOR / GARIBALDI_TRAIN_MODE: this test is the
-    // bit-compatibility backstop, so it must run the (Optimistic, sync)
-    // block even on the CI ewma and async-train matrix legs.
-    let mut suite = gate_suite_with(vec![EstimatorKind::Optimistic]);
+    // bit-compatibility backstop, so it must run the (Ewma, sync) block
+    // even on the CI async-train matrix leg.
+    let mut suite = gate_suite_with(vec![EstimatorKind::Ewma]);
     suite.train_mode = TrainMode::Sync;
     let jobs = suite.jobs();
     let n = suite.points.len();
@@ -208,14 +208,14 @@ fn optimistic_parallel_matches_golden_baselines() {
                 golden_path().display()
             )
         });
-        let diff = r.diff(golden);
+        // Exact: every serialized field, not just the figure metrics.
         assert!(
-            diff.within(GOLDEN_TOL),
-            "{}: Optimistic parallel engine moved beyond float noise from its golden: {:?}\n\
-             The Optimistic path must stay bit-compatible; if this movement is a deliberate \
+            checkpoint::to_json_line(&j.key, r) == checkpoint::to_json_line(&j.key, golden),
+            "{}: ewma parallel engine moved from its golden (figure metrics: {:?})\n\
+             The parallel engine must stay bit-compatible; if this movement is a deliberate \
              model change, re-bless with GARIBALDI_BLESS=1 cargo test --test fidelity",
             j.key,
-            diff.violations(GOLDEN_TOL)
+            r.diff(golden).violations(0.0)
         );
     }
 }
