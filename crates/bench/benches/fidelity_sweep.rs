@@ -1,16 +1,13 @@
 //! Epoch-engine fidelity sweep — the study behind the default
-//! `EngineConfig::epoch_cycles`, the benches' parallel-engine flip, and
-//! the ewma estimator default.
+//! `EngineConfig::epoch_cycles` and the benches' parallel-engine flip.
 //!
 //! Runs matched (mix, scale, scheme) points through the serial min-clock
-//! engine and the epoch-sharded engine across an `epoch_cycles` ×
-//! issue-latency-estimator grid ({optimistic, ewma} — see
-//! `sim::engine::estimate`), prints the per-(epoch, estimator) error
-//! table, and writes the machine-readable report to
-//! `target/garibaldi-results/fidelity_report.jsonl` (the committed copy
-//! lives in `docs/fidelity/`). Individual runs checkpoint through
-//! `fidelity_sweep.jsonl`, so an interrupted sweep resumes (estimator
-//! tags keep rows from different profiles apart).
+//! engine and the epoch-sharded engine across an `epoch_cycles` grid,
+//! prints the per-epoch error table, and writes the machine-readable
+//! report to `target/garibaldi-results/fidelity_report.jsonl` (the
+//! committed copy lives in `docs/fidelity/`). Individual runs checkpoint
+//! through `fidelity_sweep.jsonl`, so an interrupted sweep resumes
+//! (engine tags keep rows from different configurations apart).
 //!
 //! Knobs:
 //! - `GARIBALDI_FID_GRID` — comma-separated `epoch_cycles` values
@@ -53,9 +50,9 @@ fn main() {
 
     let mut suite = FidelitySuite::paper_figures(scale, n_mixes, &workloads, grid);
     // Learned-sync cadence axis: GARIBALDI_SYNC_EVERY measures one
-    // off-default cadence per invocation (ewma engine tags embed it, so
-    // checkpoint rows from different cadences never mix; serial and
-    // optimistic rows are cadence-independent and stay shared).
+    // off-default cadence per invocation (engine tags embed it, so
+    // checkpoint rows from different cadences never mix; serial rows are
+    // cadence-independent and stay shared).
     if let Some(k) = garibaldi_sim::config::env_positive("GARIBALDI_SYNC_EVERY") {
         suite.sync_every = k;
     }
@@ -105,20 +102,20 @@ fn main() {
 
     let target_tol = 0.01;
     let hard_tol = 0.02;
-    if let Some((e, est)) = report.recommend(target_tol) {
-        let err = report.max_figure_err_for(e, est);
+    if let Some(e) = report.recommend_epoch(target_tol) {
+        let err = report.max_figure_err(e);
         if err <= target_tol {
             println!(
-                "recommended default: epoch_cycles = {e} with the {est} estimator — largest grid \
-                 point with figure-geomean error ≤ {:.1}% ({:.4}%; hard gate {:.1}%)",
+                "recommended default: epoch_cycles = {e} — largest grid point with \
+                 figure-geomean error ≤ {:.1}% ({:.4}%; hard gate {:.1}%)",
                 target_tol * 100.0,
                 err * 100.0,
                 hard_tol * 100.0
             );
         } else {
             println!(
-                "no (epoch, estimator) cell meets the {:.1}% target; least-error cell is \
-                 ({e}, {est}) at {:.4}% (hard gate {:.1}%)",
+                "no epoch_cycles value meets the {:.1}% target; least-error value is {e} at \
+                 {:.4}% (hard gate {:.1}%)",
                 target_tol * 100.0,
                 err * 100.0,
                 hard_tol * 100.0
@@ -127,17 +124,13 @@ fn main() {
     }
     let current = EngineConfig::default().epoch_cycles;
     if report.epoch_grid.contains(&current) {
-        for est in &report.estimators {
-            let (f, c) =
-                (report.max_figure_err_for(current, est), report.max_cell_err_for(current, est));
-            let verdict = if f <= hard_tol { "within the hard gate" } else { "OVER the hard gate" };
-            println!(
-                "default epoch_cycles = {current}, {est}: figure err {:.4}%, cell err {:.4}% — \
-                 {verdict}",
-                f * 100.0,
-                c * 100.0
-            );
-        }
+        let (f, c) = (report.max_figure_err(current), report.max_cell_err(current));
+        let verdict = if f <= hard_tol { "within the hard gate" } else { "OVER the hard gate" };
+        println!(
+            "default epoch_cycles = {current}: figure err {:.4}%, cell err {:.4}% — {verdict}",
+            f * 100.0,
+            c * 100.0
+        );
     } else {
         println!(
             "current EngineConfig::default().epoch_cycles = {current} is not in the sweep grid; \

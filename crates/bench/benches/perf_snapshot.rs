@@ -20,7 +20,7 @@
 //! snapshots from the same host class only.
 
 use garibaldi_bench::*;
-use garibaldi_sim::{EngineStats, EstimatorKind, TrainMode};
+use garibaldi_sim::{EngineStats, TrainMode};
 use garibaldi_trace::{random_shared_mixes, WorkloadMix};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -28,7 +28,6 @@ use std::time::Instant;
 
 /// One engine leg of the snapshot.
 struct EngineLeg {
-    estimator: EstimatorKind,
     sync_every: usize,
     train_mode: TrainMode,
     stats: EngineStats,
@@ -49,25 +48,14 @@ fn reference_runner(records: u64, warmup: u64) -> (SimRunner, u64, u64) {
     (SimRunner::new(cfg, WorkloadMix { slots }, 42), records, warmup)
 }
 
-fn run_leg(
-    runner: &SimRunner,
-    records: u64,
-    warmup: u64,
-    estimator: EstimatorKind,
-    train_mode: TrainMode,
-) -> EngineLeg {
-    let eng = EngineConfig { estimator, train_mode, ..EngineConfig::default() };
+fn run_leg(runner: &SimRunner, records: u64, warmup: u64, train_mode: TrainMode) -> EngineLeg {
+    let eng = EngineConfig { train_mode, ..EngineConfig::default() };
     let (result, stats) = runner.run_parallel_stats(records, warmup, &eng);
     println!(
-        "[perf] {}{}{} wall={:.3}s step={:.3}s drain={:.3}s merge={:.3}s apply={:.3}s \
+        "[perf] k={} {} wall={:.3}s step={:.3}s drain={:.3}s merge={:.3}s apply={:.3}s \
          serial={:.3}s epochs={} syncs={} merge-bg={:.3}s lag={} hmean-ipc={:.4}",
-        estimator.label(),
-        if estimator == EstimatorKind::Ewma {
-            format!(" k={}", eng.sync_every)
-        } else {
-            String::new()
-        },
-        if train_mode == TrainMode::Async { " async" } else { "" },
+        eng.sync_every,
+        train_mode.label(),
         stats.wall_s,
         stats.step_s,
         stats.drain_s,
@@ -81,7 +69,6 @@ fn run_leg(
         result.harmonic_mean_ipc(),
     );
     EngineLeg {
-        estimator,
         sync_every: eng.sync_every,
         train_mode,
         stats,
@@ -115,8 +102,7 @@ fn shared_reference(records: u64, warmup: u64) -> SharedLeg {
     let mix = random_shared_mixes(1, scale.cores, 42).remove(0);
     let mix_label = mix.slots.join(",");
     let runner = SimRunner::new(cfg, mix, 42);
-    let eng = EngineConfig { estimator: EstimatorKind::Ewma, ..EngineConfig::default() };
-    let (result, stats) = runner.run_parallel_stats(records, warmup, &eng);
+    let (result, stats) = runner.run_parallel_stats(records, warmup, &EngineConfig::default());
     println!(
         "[perf] shared-ref ({mix_label}) wall={:.3}s invals={} inval-cmds={} hmean-ipc={:.4}",
         stats.wall_s,
@@ -457,17 +443,10 @@ fn main() {
     );
 
     let (runner, records, warmup) = reference_runner(records, warmup);
-    // Three reference rows: the Optimistic floor, the ewma profile under
-    // synchronous training (the PR 8 number), and the same profile with
-    // asynchronous training — the row the learned-merge overlap moves.
-    let legs: Vec<EngineLeg> = [
-        (EstimatorKind::Optimistic, TrainMode::Sync),
-        (EstimatorKind::Ewma, TrainMode::Sync),
-        (EstimatorKind::Ewma, TrainMode::Async),
-    ]
-    .into_iter()
-    .map(|(e, m)| run_leg(&runner, records, warmup, e, m))
-    .collect();
+    // Two reference rows: synchronous training and asynchronous training
+    // — the row the learned-merge overlap moves.
+    let legs: Vec<EngineLeg> =
+        TrainMode::ALL.into_iter().map(|m| run_leg(&runner, records, warmup, m)).collect();
     let shared = shared_reference(records, warmup);
     let micro = micro_benches();
 
@@ -486,11 +465,10 @@ fn main() {
         let s = &leg.stats;
         let _ = writeln!(
             json,
-            "    {{\"estimator\": \"{}\", \"sync_every\": {}, \"train_mode\": \"{}\", \
+            "    {{\"sync_every\": {}, \"train_mode\": \"{}\", \
              \"wall_s\": {}, \"step_s\": {}, \"drain_s\": {}, \"merge_s\": {}, \
              \"apply_s\": {}, \"serial_s\": {}, \"epochs\": {}, \"learned_syncs\": {}, \
              \"merge_bg_s\": {}, \"publish_lag\": {}, \"harmonic_mean_ipc\": {}}}{}",
-            leg.estimator.label(),
             leg.sync_every,
             leg.train_mode.label(),
             json_num(s.wall_s),
@@ -511,7 +489,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"shared_reference\": {{\"cores\": 8, \"factor\": 1.0, \"mix\": \"{}\", \
-         \"scheme\": \"Mockingjay+Garibaldi\", \"estimator\": \"ewma\", \
+         \"scheme\": \"Mockingjay+Garibaldi\", \
          \"records_per_core\": {records}, \"warmup_per_core\": {warmup}, \"seed\": 42, \
          \"wall_s\": {}, \"invalidations\": {}, \"inval_cmds\": {}, \
          \"harmonic_mean_ipc\": {}}},",

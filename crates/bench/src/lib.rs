@@ -12,13 +12,11 @@
 //! Engine: since the fidelity study (`docs/fidelity/`, ARCHITECTURE.md
 //! §"Fidelity") every figure target defaults to the **epoch-sharded
 //! parallel engine** at the validated default `epoch_cycles`, with
-//! `GARIBALDI_INNER_WORKERS` threads per run — and, since the estimator
-//! study, with the **ewma** fidelity profile (learned issue latencies +
-//! barrier learned-state sync, the measured-best configuration).
+//! `GARIBALDI_INNER_WORKERS` threads per run.
 //! `GARIBALDI_ENGINE=serial` is the escape hatch back to the serial
 //! min-clock reference; `GARIBALDI_WORKERS` / `GARIBALDI_SHARDS` /
-//! `GARIBALDI_EPOCH` / `GARIBALDI_ESTIMATOR` override the geometry (see
-//! [`bench_engine`]).
+//! `GARIBALDI_EPOCH` / `GARIBALDI_SYNC_EVERY` / `GARIBALDI_TRAIN_MODE`
+//! override the geometry (see [`bench_engine`]).
 
 #![warn(missing_docs)]
 
@@ -28,24 +26,16 @@ use std::sync::Mutex;
 
 pub use garibaldi_sim::experiment::{geomean, weighted_speedup};
 pub use garibaldi_sim::{
-    EngineChoice, EngineConfig, EstimatorKind, ExperimentScale, LlcScheme, RunResult, SimRunner,
-    SystemConfig,
+    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner, SystemConfig,
 };
 
 /// The engine every bench run uses: [`EngineChoice::from_env_or`] with a
 /// **parallel** default — [`EngineConfig::default`] geometry (the
-/// fidelity-validated `epoch_cycles`), the **ewma** estimator (the
-/// measured-best fidelity profile: ≤ 1 % figure-geomean error at the
-/// default window vs ~1.7 % for `optimistic`, see `docs/fidelity/`) and
-/// [`inner_workers`] threads per run. Set `GARIBALDI_ENGINE=serial` for
-/// the serial reference engine, or `GARIBALDI_ESTIMATOR=optimistic` for
-/// the pre-estimator parallel engine.
+/// fidelity-validated `epoch_cycles` and `sync_every`, see
+/// `docs/fidelity/`) and [`inner_workers`] threads per run. Set
+/// `GARIBALDI_ENGINE=serial` for the serial reference engine.
 pub fn bench_engine() -> EngineChoice {
-    let default = EngineConfig {
-        workers: inner_workers(),
-        estimator: EstimatorKind::Ewma,
-        ..EngineConfig::default()
-    };
+    let default = EngineConfig { workers: inner_workers(), ..EngineConfig::default() };
     EngineChoice::from_env_or(EngineChoice::Parallel(default))
 }
 
@@ -320,7 +310,8 @@ mod tests {
             "GARIBALDI_WORKERS",
             "GARIBALDI_SHARDS",
             "GARIBALDI_EPOCH",
-            "GARIBALDI_ESTIMATOR",
+            "GARIBALDI_SYNC_EVERY",
+            "GARIBALDI_TRAIN_MODE",
             "GARIBALDI_INNER_WORKERS",
         ];
         let saved: Vec<_> = vars.iter().map(|v| (*v, std::env::var(v).ok())).collect();
@@ -367,11 +358,7 @@ mod tests {
         with_clean_env(|| {
             match bench_engine() {
                 EngineChoice::Parallel(c) => {
-                    assert_eq!(
-                        c,
-                        EngineConfig { estimator: EstimatorKind::Ewma, ..EngineConfig::default() },
-                        "validated default geometry + the ewma estimator default"
-                    );
+                    assert_eq!(c, EngineConfig::default(), "validated default geometry");
                 }
                 EngineChoice::Serial => panic!("benches must default to the parallel engine"),
             }
@@ -379,13 +366,6 @@ mod tests {
             match bench_engine() {
                 EngineChoice::Parallel(c) => {
                     assert_eq!(c.workers, 2, "inner workers feed the engine");
-                }
-                EngineChoice::Serial => panic!("still parallel"),
-            }
-            std::env::set_var("GARIBALDI_ESTIMATOR", "optimistic");
-            match bench_engine() {
-                EngineChoice::Parallel(c) => {
-                    assert_eq!(c.estimator, EstimatorKind::Optimistic, "estimator escape hatch");
                 }
                 EngineChoice::Serial => panic!("still parallel"),
             }

@@ -213,9 +213,10 @@ impl SystemConfig {
 /// Configuration of the epoch-sharded parallel engine (see
 /// `docs/ARCHITECTURE.md` §"Parallel sharded engine").
 ///
-/// Results are a function of `epoch_cycles`, `llc_shards` and `estimator`
-/// only — the worker count changes wall-clock, never the simulated
-/// outcome (the determinism contract tested in `tests/determinism.rs`).
+/// Results are a function of `epoch_cycles`, `llc_shards`, `sync_every`
+/// and `train_mode` only — the worker count changes wall-clock, never the
+/// simulated outcome (the determinism contract tested in
+/// `tests/determinism.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Worker threads stepping L2 clusters and draining LLC shards.
@@ -226,29 +227,19 @@ pub struct EngineConfig {
     /// Number of set-contiguous LLC shards (each owns its slice of the
     /// Garibaldi pair/D_PPN state and of the DRAM channels).
     pub llc_shards: usize,
-    /// Intra-epoch fidelity profile (`sim::engine::estimate`), named after
-    /// its main lever, the issue-time latency estimator: what a deferred
-    /// LLC-bound access is charged until its barrier outcome arrives.
-    /// [`EstimatorKind::Ewma`] additionally turns on the barrier
-    /// learned-state sync (per-shard replacement-policy predictor slices
-    /// exchange their training, closing the other structural gap to the
-    /// serial engine's single globally-trained instance);
-    /// [`EstimatorKind::Optimistic`] is the pre-estimator engine,
-    /// bit-identical. A *model* parameter like `epoch_cycles`: it changes
-    /// simulated results (toward the serial engine, per the fidelity
-    /// study), never determinism.
+    /// Issue-latency model (`sim::engine::estimate`): always
+    /// [`EstimatorKind::Ewma`]. Kept only because the repository
+    /// benchmark (`perfbench/`) still sets it; no code reads it.
     pub estimator: EstimatorKind,
-    /// Run the ewma learned-state sync every `sync_every` barriers
+    /// Run the learned-state sync every `sync_every` barriers
     /// (`--sync-every` / `GARIBALDI_SYNC_EVERY`; ≥ 1). The sync is the
-    /// dominant single-CPU cost of the ewma profile — predictor-table
-    /// export + consensus merge per shard per barrier — while its fidelity
-    /// value decays slowly with staleness (measured in `docs/fidelity/`),
-    /// so syncing every k-th barrier trades a bounded fidelity delta for
-    /// most of that overhead. Under [`EstimatorKind::Optimistic`] no sync
-    /// ever runs, so this knob provably cannot change results there
-    /// (regression-tested); under ewma it is a *model* parameter like
-    /// `epoch_cycles` — the barrier count is a pure function of the
-    /// simulated schedule, so every value stays worker-count invariant.
+    /// dominant single-CPU cost of the engine's barrier — predictor-table
+    /// export + consensus merge per shard — while its fidelity value
+    /// decays slowly with staleness (measured in `docs/fidelity/`), so
+    /// syncing every k-th barrier trades a bounded fidelity delta for most
+    /// of that overhead. A *model* parameter like `epoch_cycles`: the
+    /// barrier count is a pure function of the simulated schedule, so
+    /// every value stays worker-count invariant.
     pub sync_every: usize,
     /// When learned-state merges run (`--train-mode` /
     /// `GARIBALDI_TRAIN_MODE`; see [`TrainMode`]): synchronously inside
@@ -272,8 +263,6 @@ impl Default for EngineConfig {
     /// fig11 0.10 % → 0.21 % / fig12 0.78 % → 0.80 % (bound: ≤ 1 %) while
     /// the sync's wall-clock cost — the dominant single-CPU ewma overhead
     /// — drops to an eighth (40-core reference point 1.74 s → 1.34 s).
-    /// Under the default `Optimistic` estimator the knob is inert
-    /// (regression-tested byte-identical).
     ///
     /// `epoch_cycles = 20_000`
     /// was selected by the epoch sweep in `docs/fidelity/`: figure-level
@@ -288,7 +277,7 @@ impl Default for EngineConfig {
             workers: 1,
             epoch_cycles: 20_000,
             llc_shards: 8,
-            estimator: EstimatorKind::Optimistic,
+            estimator: EstimatorKind::Ewma,
             sync_every: 8,
             train_mode: TrainMode::Sync,
         }
@@ -299,77 +288,6 @@ impl EngineConfig {
     /// A config with `workers` threads and default epoch/shard geometry.
     pub fn with_workers(workers: usize) -> Self {
         Self { workers: workers.max(1), ..Self::default() }
-    }
-
-    /// The parallel-engine config the environment selects, or `None` when
-    /// the environment selects the serial engine (callers then keep the
-    /// serial min-clock engine). Delegates to [`EngineChoice::from_env_or`]
-    /// with a serial default, so the full precedence applies — in
-    /// particular `GARIBALDI_ENGINE=serial` wins over `GARIBALDI_WORKERS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a set-but-invalid value (garbage, overflow, or zero): a
-    /// typo'd `GARIBALDI_WORKERS` silently falling back to the serial
-    /// engine would make the CI leg that forces the parallel engine pass
-    /// without testing it. The parsing itself is the pure (unit-tested)
-    /// [`EngineConfig::parse_env`] / [`EngineChoice::resolve`].
-    pub fn from_env() -> Option<Self> {
-        match EngineChoice::from_env_or(EngineChoice::Serial) {
-            EngineChoice::Serial => None,
-            EngineChoice::Parallel(cfg) => Some(cfg),
-        }
-    }
-
-    /// Pure form of [`EngineConfig::from_env`]: builds a config from the
-    /// raw values of the engine environment variables. `Ok(None)` when
-    /// both `workers` and `estimator` are absent (either one selects the
-    /// parallel engine on its own — the estimator only exists there).
-    ///
-    /// # Errors
-    ///
-    /// Rejects garbage, overflow and zero counts — and unknown estimator
-    /// or train-mode names — for every variable with a message naming the
-    /// variable and the offending value; never a silent fallback. All
-    /// variables are validated even when none selects the engine, so e.g.
-    /// a bad `GARIBALDI_SHARDS` cannot hide behind a serial run.
-    pub fn parse_env(
-        workers: Option<&str>,
-        shards: Option<&str>,
-        epoch: Option<&str>,
-        estimator: Option<&str>,
-        sync_every: Option<&str>,
-        train_mode: Option<&str>,
-    ) -> Result<Option<Self>, String> {
-        let workers = parse_positive("GARIBALDI_WORKERS", workers)?;
-        let shards = parse_positive("GARIBALDI_SHARDS", shards)?;
-        let epoch = parse_positive("GARIBALDI_EPOCH", epoch)?;
-        let estimator = EstimatorKind::parse("GARIBALDI_ESTIMATOR", estimator)?;
-        let sync_every = parse_positive("GARIBALDI_SYNC_EVERY", sync_every)?;
-        let train_mode = TrainMode::parse("GARIBALDI_TRAIN_MODE", train_mode)?;
-        if workers.is_none() && estimator.is_none() {
-            return Ok(None);
-        }
-        let mut cfg = Self::default();
-        if let Some(w) = workers {
-            cfg.workers = w;
-        }
-        if let Some(s) = shards {
-            cfg.llc_shards = s;
-        }
-        if let Some(e) = epoch {
-            cfg.epoch_cycles = e as u64;
-        }
-        if let Some(k) = estimator {
-            cfg.estimator = k;
-        }
-        if let Some(k) = sync_every {
-            cfg.sync_every = k;
-        }
-        if let Some(m) = train_mode {
-            cfg.train_mode = m;
-        }
-        Ok(Some(cfg))
     }
 
     /// Validates structural invariants.
@@ -413,16 +331,12 @@ impl EngineChoice {
     /// same table lives in the README's environment section):
     ///
     /// 1. `GARIBALDI_ENGINE=serial` forces the serial engine (the escape
-    ///    hatch the benches document), even if `GARIBALDI_ESTIMATOR` or
-    ///    `GARIBALDI_WORKERS` is set. `GARIBALDI_ENGINE=parallel` (alias
-    ///    `sharded`) forces the parallel engine.
-    /// 2. `GARIBALDI_ENGINE` unset but `GARIBALDI_ESTIMATOR` set:
-    ///    parallel — the estimator is a parallel-engine model axis, so
-    ///    selecting one selects the engine.
-    /// 3. `GARIBALDI_ENGINE` and `GARIBALDI_ESTIMATOR` unset but
-    ///    `GARIBALDI_WORKERS` set: parallel (the PR-2 forcing mechanism
-    ///    the CI matrix leg uses).
-    /// 4. Nothing set: `default`. (`GARIBALDI_INNER_WORKERS` ranks below
+    ///    hatch the benches document), even if `GARIBALDI_WORKERS` is set.
+    ///    `GARIBALDI_ENGINE=parallel` (alias `sharded`) forces the
+    ///    parallel engine.
+    /// 2. `GARIBALDI_ENGINE` unset but `GARIBALDI_WORKERS` set: parallel
+    ///    (the forcing mechanism the CI matrix leg uses).
+    /// 3. Nothing set: `default`. (`GARIBALDI_INNER_WORKERS` ranks below
     ///    all of the above: it never selects an engine — it only feeds the
     ///    bench harness's default parallel geometry, and a resolved
     ///    `GARIBALDI_WORKERS` overrides it; see
@@ -431,17 +345,21 @@ impl EngineChoice {
     /// Whenever the outcome is parallel, its geometry starts from the
     /// caller's `default` when that is parallel (else
     /// [`EngineConfig::default`]) and each of `GARIBALDI_WORKERS` /
-    /// `GARIBALDI_SHARDS` / `GARIBALDI_EPOCH` / `GARIBALDI_ESTIMATOR` /
-    /// `GARIBALDI_SYNC_EVERY` / `GARIBALDI_TRAIN_MODE` that is set
-    /// overrides its field — so e.g.
+    /// `GARIBALDI_SHARDS` / `GARIBALDI_EPOCH` / `GARIBALDI_SYNC_EVERY` /
+    /// `GARIBALDI_TRAIN_MODE` that is set overrides its field — so e.g.
     /// `GARIBALDI_EPOCH=5000` alone re-windows a bench run (the benches
     /// default to parallel). When the outcome is serial, the geometry
     /// variables have nothing to configure and are only validated.
     ///
+    /// `GARIBALDI_ESTIMATOR` is read only to reject it: it once selected
+    /// the parallel engine on its own, so silently ignoring it would
+    /// quietly run the serial engine instead.
+    ///
     /// # Panics
     ///
     /// Panics with a clear message on malformed values (unknown engine or
-    /// estimator name, zero/garbage/overflowing counts) —
+    /// train-mode name, zero/garbage/overflowing counts, any
+    /// `GARIBALDI_ESTIMATOR`) —
     /// misconfiguration must never silently select a different engine
     /// than intended. The pure, unit-tested resolution is
     /// [`EngineChoice::resolve`].
@@ -464,7 +382,8 @@ impl EngineChoice {
     /// # Errors
     ///
     /// Returns a message naming the offending variable and value for an
-    /// unknown engine or estimator name or an invalid count.
+    /// unknown engine or train-mode name or an invalid count, and one
+    /// naming `GARIBALDI_ESTIMATOR` as removed whenever it is set.
     #[allow(clippy::too_many_arguments)]
     pub fn resolve(
         engine: Option<&str>,
@@ -476,10 +395,16 @@ impl EngineChoice {
         train_mode: Option<&str>,
         default: Self,
     ) -> Result<Self, String> {
+        if let Some(raw) = estimator {
+            return Err(format!(
+                "GARIBALDI_ESTIMATOR has been removed (got {raw:?}): ewma is the parallel \
+                 engine's only issue-latency model; unset it, and select the parallel engine \
+                 with GARIBALDI_ENGINE=parallel or GARIBALDI_WORKERS"
+            ));
+        }
         let workers = parse_positive("GARIBALDI_WORKERS", workers)?;
         let shards = parse_positive("GARIBALDI_SHARDS", shards)?;
         let epoch = parse_positive("GARIBALDI_EPOCH", epoch)?;
-        let estimator = EstimatorKind::parse("GARIBALDI_ESTIMATOR", estimator)?;
         let sync_every = parse_positive("GARIBALDI_SYNC_EVERY", sync_every)?;
         let train_mode = TrainMode::parse("GARIBALDI_TRAIN_MODE", train_mode)?;
         // Which engine, and from which base geometry?
@@ -491,7 +416,7 @@ impl EngineChoice {
                     "GARIBALDI_ENGINE must be \"serial\" or \"parallel\", got {other:?}"
                 ))
             }
-            None if estimator.is_some() || workers.is_some() => Some(default),
+            None if workers.is_some() => Some(default),
             None => match default {
                 // A parallel default still takes the geometry overrides
                 // below (the benches' documented contract).
@@ -515,9 +440,6 @@ impl EngineChoice {
         if let Some(e) = epoch {
             cfg.epoch_cycles = e as u64;
         }
-        if let Some(k) = estimator {
-            cfg.estimator = k;
-        }
         if let Some(k) = sync_every {
             cfg.sync_every = k;
         }
@@ -528,30 +450,22 @@ impl EngineChoice {
     }
 
     /// Stable identity string for checkpoint keys and reports: `"serial"`
-    /// or `"sharded-s<shards>-e<epoch>[-<estimator>[-k<sync_every>]][-async]"`
-    /// (the estimator suffix appears only for non-default estimators, the
-    /// sync suffix only under ewma with `sync_every != 1`, and the
-    /// train-mode suffix only for [`TrainMode::Async`], so keys minted
-    /// before any of these axes existed still name the same model).
-    /// Worker count is deliberately excluded — it never changes simulated
-    /// results (the determinism contract), so runs under different worker
-    /// counts may share rows. `sync_every` is likewise excluded under the
-    /// optimistic estimator, where no sync ever runs and the knob provably
-    /// cannot change the model. The async marker appears under *every*
-    /// estimator: Phase B′ pair-table batches change shape in async mode
-    /// regardless of the estimator, so the mode is part of the model
-    /// identity even when no learned sync runs.
+    /// or `"sharded-s<shards>-e<epoch>-ewma[-k<sync_every>][-async]"` (the
+    /// sync suffix only for `sync_every != 1`, the train-mode suffix only
+    /// for [`TrainMode::Async`], so keys minted before either axis existed
+    /// still name the same model). The `-ewma` marker is always present:
+    /// the suffix-free `sharded-s<S>-e<E>` form named the retired
+    /// optimistic issue-latency model, whose checkpoint rows must never be
+    /// served as ewma results. Worker count is deliberately excluded — it
+    /// never changes simulated results (the determinism contract), so runs
+    /// under different worker counts may share rows.
     pub fn tag(&self) -> String {
         match self {
             Self::Serial => "serial".to_string(),
             Self::Parallel(e) => {
-                let mut t = format!("sharded-s{}-e{}", e.llc_shards, e.epoch_cycles);
-                if e.estimator != EstimatorKind::default() {
-                    t.push('-');
-                    t.push_str(e.estimator.label());
-                    if e.sync_every != 1 {
-                        t.push_str(&format!("-k{}", e.sync_every));
-                    }
+                let mut t = format!("sharded-s{}-e{}-ewma", e.llc_shards, e.epoch_cycles);
+                if e.sync_every != 1 {
+                    t.push_str(&format!("-k{}", e.sync_every));
                 }
                 if e.train_mode != TrainMode::default() {
                     t.push('-');
@@ -667,143 +581,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn engine_config_parse_env_cases() {
-        // Neither workers nor estimator → None regardless of other knobs.
-        assert_eq!(
-            EngineConfig::parse_env(None, Some("4"), Some("1000"), None, None, None).unwrap(),
-            None
-        );
-        // Workers alone → defaults for the rest.
-        let c = EngineConfig::parse_env(Some("2"), None, None, None, None, None).unwrap().unwrap();
-        assert_eq!(c.workers, 2);
-        assert_eq!(c, EngineConfig { workers: 2, ..EngineConfig::default() });
-        // Estimator alone also selects the engine (it only exists there).
-        let c =
-            EngineConfig::parse_env(None, None, None, Some("ewma"), None, None).unwrap().unwrap();
-        assert_eq!(c, EngineConfig { estimator: EstimatorKind::Ewma, ..EngineConfig::default() });
-        // Full set.
-        let c = EngineConfig::parse_env(
-            Some("4"),
-            Some("2"),
-            Some("5000"),
-            Some("optimistic"),
-            Some("8"),
-            Some("async"),
+    /// [`EngineChoice::resolve`] over `(variable, value)` pairs.
+    fn resolve(vars: &[(&str, &str)], default: EngineChoice) -> Result<EngineChoice, String> {
+        let get = |name: &str| vars.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
+        EngineChoice::resolve(
+            get("GARIBALDI_ENGINE"),
+            get("GARIBALDI_WORKERS"),
+            get("GARIBALDI_SHARDS"),
+            get("GARIBALDI_EPOCH"),
+            get("GARIBALDI_ESTIMATOR"),
+            get("GARIBALDI_SYNC_EVERY"),
+            get("GARIBALDI_TRAIN_MODE"),
+            default,
         )
-        .unwrap()
-        .unwrap();
-        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (4, 2, 5000));
-        assert_eq!(c.estimator, EstimatorKind::Optimistic);
-        assert_eq!(c.sync_every, 8);
-        assert_eq!(c.train_mode, TrainMode::Async);
-        // Invalid values err rather than falling back.
-        assert!(EngineConfig::parse_env(Some("0"), None, None, None, None, None).is_err());
-        assert!(EngineConfig::parse_env(Some("two"), None, None, None, None, None).is_err());
-        assert!(EngineConfig::parse_env(Some("2"), Some("0"), None, None, None, None).is_err());
-        assert!(EngineConfig::parse_env(Some("2"), None, Some("0"), None, None, None).is_err());
-        assert!(EngineConfig::parse_env(
-            Some("18446744073709551616"),
-            None,
-            None,
-            None,
-            None,
-            None
-        )
-        .is_err());
-        let err =
-            EngineConfig::parse_env(Some("2"), None, None, Some("magic"), None, None).unwrap_err();
-        assert!(err.contains("GARIBALDI_ESTIMATOR") && err.contains("magic"), "{err}");
-        // sync_every is hardened like every other count — even when it
-        // selects nothing (serial outcome), a bad value must fail loudly.
-        let err =
-            EngineConfig::parse_env(Some("2"), None, None, None, Some("0"), None).unwrap_err();
-        assert!(err.contains("GARIBALDI_SYNC_EVERY"), "{err}");
-        assert!(EngineConfig::parse_env(None, None, None, None, Some("nope"), None).is_err());
-        // …and so is the train mode, with the same always-validated rule.
-        let err =
-            EngineConfig::parse_env(Some("2"), None, None, None, None, Some("maybe")).unwrap_err();
-        assert!(err.contains("GARIBALDI_TRAIN_MODE") && err.contains("maybe"), "{err}");
-        assert!(EngineConfig::parse_env(None, None, None, None, None, Some("lazy")).is_err());
+    }
+
+    fn parallel(choice: EngineChoice) -> EngineConfig {
+        match choice {
+            EngineChoice::Parallel(c) => c,
+            other => panic!("expected parallel, got {other:?}"),
+        }
     }
 
     #[test]
     fn engine_choice_resolution_precedence() {
+        use EngineChoice::Serial;
         let default_par = EngineChoice::Parallel(EngineConfig::default());
         // Nothing set → the caller's default.
-        assert_eq!(
-            EngineChoice::resolve(None, None, None, None, None, None, None, EngineChoice::Serial)
-                .unwrap(),
-            EngineChoice::Serial
-        );
-        assert_eq!(
-            EngineChoice::resolve(None, None, None, None, None, None, None, default_par).unwrap(),
-            default_par
-        );
-        // serial wins even over GARIBALDI_WORKERS and GARIBALDI_ESTIMATOR.
-        assert_eq!(
-            EngineChoice::resolve(
-                Some("serial"),
-                Some("4"),
-                None,
-                None,
-                None,
-                None,
-                None,
-                default_par
-            )
-            .unwrap(),
-            EngineChoice::Serial
-        );
-        assert_eq!(
-            EngineChoice::resolve(
-                Some("serial"),
-                None,
-                None,
-                None,
-                Some("ewma"),
-                None,
-                None,
-                default_par
-            )
-            .unwrap(),
-            EngineChoice::Serial
-        );
-        // Back-compat: workers alone flips to parallel.
-        match EngineChoice::resolve(
-            None,
-            Some("3"),
-            None,
-            None,
-            None,
-            None,
-            None,
-            EngineChoice::Serial,
-        )
-        .unwrap()
-        {
-            EngineChoice::Parallel(c) => assert_eq!(c.workers, 3),
-            other => panic!("expected parallel, got {other:?}"),
-        }
-        // An estimator alone flips to parallel too (precedence step 2).
-        match EngineChoice::resolve(
-            None,
-            None,
-            None,
-            None,
-            Some("ewma"),
-            None,
-            None,
-            EngineChoice::Serial,
-        )
-        .unwrap()
-        {
-            EngineChoice::Parallel(c) => {
-                assert_eq!(c.estimator, EstimatorKind::Ewma);
-                assert_eq!(c.workers, EngineConfig::default().workers);
-            }
-            other => panic!("expected parallel, got {other:?}"),
-        }
+        assert_eq!(resolve(&[], Serial).unwrap(), Serial);
+        assert_eq!(resolve(&[], default_par).unwrap(), default_par);
+        // serial wins even over GARIBALDI_WORKERS.
+        let vars = [("GARIBALDI_ENGINE", "serial"), ("GARIBALDI_WORKERS", "4")];
+        assert_eq!(resolve(&vars, default_par).unwrap(), Serial);
+        // Back-compat: workers alone flips to parallel, with defaults for
+        // the rest.
+        let c = parallel(resolve(&[("GARIBALDI_WORKERS", "3")], Serial).unwrap());
+        assert_eq!(c, EngineConfig { workers: 3, ..EngineConfig::default() });
         // parallel with a parallel default keeps its geometry, env overrides.
         let tuned = EngineChoice::Parallel(EngineConfig {
             workers: 2,
@@ -811,170 +624,99 @@ mod tests {
             llc_shards: 4,
             ..EngineConfig::default()
         });
-        match EngineChoice::resolve(
-            Some("parallel"),
-            None,
-            None,
-            Some("123"),
-            None,
-            None,
-            None,
-            tuned,
-        )
-        .unwrap()
-        {
-            EngineChoice::Parallel(c) => {
-                assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 4, 123));
-            }
-            other => panic!("expected parallel, got {other:?}"),
-        }
+        let vars = [("GARIBALDI_ENGINE", "parallel"), ("GARIBALDI_EPOCH", "123")];
+        let c = parallel(resolve(&vars, tuned).unwrap());
+        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 4, 123));
         // Geometry overrides also apply when the *default* supplies the
         // parallel engine (the benches' contract): GARIBALDI_EPOCH alone
         // re-windows a bench run instead of being silently ignored. The
-        // train mode rides the same rule.
-        match EngineChoice::resolve(
-            None,
-            None,
-            Some("16"),
-            Some("123"),
-            Some("ewma"),
-            None,
-            Some("async"),
-            tuned,
-        )
-        .unwrap()
-        {
-            EngineChoice::Parallel(c) => {
-                assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 16, 123));
-                assert_eq!(c.estimator, EstimatorKind::Ewma);
-                assert_eq!(c.train_mode, TrainMode::Async);
-            }
-            other => panic!("expected parallel, got {other:?}"),
+        // sync cadence and train mode ride the same rule.
+        let vars = [
+            ("GARIBALDI_SHARDS", "16"),
+            ("GARIBALDI_EPOCH", "123"),
+            ("GARIBALDI_SYNC_EVERY", "3"),
+            ("GARIBALDI_TRAIN_MODE", "async"),
+        ];
+        let c = parallel(resolve(&vars, tuned).unwrap());
+        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles, c.sync_every), (2, 16, 123, 3));
+        assert_eq!(c.train_mode, TrainMode::Async);
+        // With a serial default, geometry variables and the train mode
+        // alone do not flip the engine — they are parallel-engine axes,
+        // not forcing mechanisms — but they are still validated.
+        assert_eq!(resolve(&[("GARIBALDI_EPOCH", "123")], Serial).unwrap(), Serial);
+        assert_eq!(resolve(&[("GARIBALDI_TRAIN_MODE", "async")], Serial).unwrap(), Serial);
+        // Invalid counts and names propagate whatever the outcome —
+        // including under an explicit serial engine (validated, unused).
+        for (vars, var, value) in [
+            (&[("GARIBALDI_ENGINE", "turbo")][..], "GARIBALDI_ENGINE", "turbo"),
+            (
+                &[("GARIBALDI_ENGINE", "parallel"), ("GARIBALDI_WORKERS", "0")],
+                "GARIBALDI_WORKERS",
+                "0",
+            ),
+            (&[("GARIBALDI_WORKERS", "two")], "GARIBALDI_WORKERS", "two"),
+            (
+                &[("GARIBALDI_WORKERS", "18446744073709551616")],
+                "GARIBALDI_WORKERS",
+                "18446744073709551616",
+            ),
+            (&[("GARIBALDI_WORKERS", "2"), ("GARIBALDI_SHARDS", "0")], "GARIBALDI_SHARDS", "0"),
+            (&[("GARIBALDI_EPOCH", "0")], "GARIBALDI_EPOCH", "0"),
+            (
+                &[("GARIBALDI_WORKERS", "2"), ("GARIBALDI_SYNC_EVERY", "0")],
+                "GARIBALDI_SYNC_EVERY",
+                "0",
+            ),
+            (&[("GARIBALDI_SYNC_EVERY", "nope")], "GARIBALDI_SYNC_EVERY", "nope"),
+            (
+                &[("GARIBALDI_ENGINE", "serial"), ("GARIBALDI_TRAIN_MODE", "eventually")],
+                "GARIBALDI_TRAIN_MODE",
+                "eventually",
+            ),
+            (&[("GARIBALDI_TRAIN_MODE", "lazy")], "GARIBALDI_TRAIN_MODE", "lazy"),
+        ] {
+            let err = resolve(vars, Serial).unwrap_err();
+            assert!(err.contains(var) && err.contains(value), "{vars:?}: {err}");
         }
-        // With a serial default, geometry variables alone do not flip the
-        // engine — but they are still validated.
-        assert_eq!(
-            EngineChoice::resolve(
-                None,
-                None,
-                None,
-                Some("123"),
-                None,
-                None,
-                None,
-                EngineChoice::Serial
-            )
-            .unwrap(),
-            EngineChoice::Serial
-        );
-        assert!(EngineChoice::resolve(
-            None,
-            None,
-            None,
-            Some("0"),
-            None,
-            None,
-            None,
-            EngineChoice::Serial
-        )
-        .is_err());
-        // The train mode alone does not select an engine either — it is a
-        // parallel-engine scheduling axis, not a forcing mechanism — but
-        // it is still validated.
-        assert_eq!(
-            EngineChoice::resolve(
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                Some("async"),
-                EngineChoice::Serial
-            )
-            .unwrap(),
-            EngineChoice::Serial
-        );
-        // Unknown engine name is a hard error naming the value.
-        let err = EngineChoice::resolve(
-            Some("turbo"),
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-            EngineChoice::Serial,
-        )
-        .unwrap_err();
-        assert!(err.contains("GARIBALDI_ENGINE") && err.contains("turbo"), "{err}");
-        // Invalid counts, estimator and train-mode names propagate even
-        // under an explicit engine name — including serial (validated,
-        // unused).
-        assert!(EngineChoice::resolve(
-            Some("parallel"),
-            Some("0"),
-            None,
-            None,
-            None,
-            None,
-            None,
-            EngineChoice::Serial
-        )
-        .is_err());
-        let err = EngineChoice::resolve(
-            Some("serial"),
-            None,
-            None,
-            None,
-            Some("magic"),
-            None,
-            None,
-            EngineChoice::Serial,
-        )
-        .unwrap_err();
-        assert!(err.contains("GARIBALDI_ESTIMATOR") && err.contains("magic"), "{err}");
-        let err = EngineChoice::resolve(
-            Some("serial"),
-            None,
-            None,
-            None,
-            None,
-            None,
-            Some("eventually"),
-            EngineChoice::Serial,
-        )
-        .unwrap_err();
-        assert!(err.contains("GARIBALDI_TRAIN_MODE") && err.contains("eventually"), "{err}");
+        // The removed GARIBALDI_ESTIMATOR is rejected whatever its value
+        // and whatever else is set: it used to select the parallel engine
+        // on its own, so ignoring it would quietly run the serial engine.
+        for vars in [
+            &[("GARIBALDI_ESTIMATOR", "ewma")][..],
+            &[("GARIBALDI_ESTIMATOR", "optimistic"), ("GARIBALDI_WORKERS", "2")],
+            &[("GARIBALDI_ESTIMATOR", ""), ("GARIBALDI_ENGINE", "serial")],
+        ] {
+            let err = resolve(vars, Serial).unwrap_err();
+            assert!(err.contains("GARIBALDI_ESTIMATOR") && err.contains("removed"), "{err}");
+        }
     }
 
     #[test]
     fn engine_choice_tags() {
         assert_eq!(EngineChoice::Serial.tag(), "serial");
-        let e = EngineConfig {
-            workers: 9,
-            epoch_cycles: 50_000,
-            llc_shards: 8,
-            ..EngineConfig::default()
-        };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000", "workers excluded");
-        // sync_every is invisible under optimistic (no sync ever runs, so
-        // the model is unchanged — pre-knob rows stay valid)…
-        let e = EngineConfig { sync_every: 4, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000");
-        // …and part of the identity under ewma: non-default estimators
-        // carry their label, and a non-every-barrier cadence its k (an
-        // `-ewma` row without `-k` means the pre-knob every-barrier sync).
-        let e = EngineConfig { estimator: EstimatorKind::Ewma, sync_every: 1, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-ewma");
-        let e = EngineConfig { sync_every: 8, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-ewma-k8");
-        // The async train mode is part of the model identity under every
-        // estimator (Phase B′ pair batches change shape); the sync default
-        // is tag-invisible so pre-PR-9 keys stay valid.
+        // The default geometry — the key every fidelity golden and bench
+        // checkpoint row is stored under.
+        let e = EngineConfig { workers: 9, ..EngineConfig::default() };
+        assert_eq!(
+            EngineChoice::Parallel(e).tag(),
+            "sharded-s8-e20000-ewma-k8",
+            "workers excluded"
+        );
         let e = EngineConfig { train_mode: TrainMode::Async, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-ewma-k8-async");
-        let e = EngineConfig { estimator: EstimatorKind::Optimistic, ..e };
-        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-async");
+        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e20000-ewma-k8-async");
+        // Every-barrier sync carries no `-k` (the pre-knob ewma keys).
+        let e = EngineConfig { epoch_cycles: 50_000, sync_every: 1, ..EngineConfig::default() };
+        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s8-e50000-ewma");
+        let e = EngineConfig { llc_shards: 2, sync_every: 4, ..e };
+        assert_eq!(EngineChoice::Parallel(e).tag(), "sharded-s2-e50000-ewma-k4");
+        // The suffix-free `sharded-s<S>-e<E>[-async]` form named the
+        // retired optimistic model: no configuration may mint it again.
+        for train_mode in TrainMode::ALL {
+            for sync_every in [1, 8] {
+                let e = EngineConfig { train_mode, sync_every, ..EngineConfig::default() };
+                let t = EngineChoice::Parallel(e).tag();
+                assert!(t.starts_with("sharded-s8-e20000-ewma"), "{t}");
+            }
+        }
     }
 }

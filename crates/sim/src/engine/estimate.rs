@@ -1,40 +1,28 @@
-//! Pluggable issue-time latency estimation for the epoch engine.
+//! Issue-time latency estimation for the epoch engine.
 //!
 //! During an epoch, every LLC-bound access advances its core's clock by an
 //! *estimate* of the access latency; the drained outcome replaces the
 //! estimate at the barrier ([`correct_record`]). The estimate therefore
 //! controls the **intra-epoch interleave**: an over-optimistic estimate
 //! lets a miss-heavy core race ahead of its serial-engine schedule inside
-//! the window, which the PR 3 fidelity study measured as the flat ~1.4 %
-//! fig12 error floor (`docs/fidelity/`) — the drift was issue optimism,
-//! not feedback staleness.
+//! the window, hiding exactly the frontend stall of an LLC instruction
+//! miss that Garibaldi exists to remove (`docs/fidelity/`).
 //!
-//! This module makes the estimate a policy:
-//!
-//! - [`Optimistic`] charges the constant LLC-hit latency — bit-identical
-//!   to the engine before this module existed (gated by the parallel
-//!   golden baselines in `tests/fidelity.rs`).
-//! - [`Ewma`] learns per-core, per-stream-class (instruction fetch vs.
-//!   data) expected latencies from drained barrier outcomes: an
-//!   exponentially weighted hit rate plus hit/miss latency averages,
-//!   combined into an expected access latency at issue time.
-//!
-//! The estimator kind doubles as the engine's **intra-epoch fidelity
-//! profile**: under [`EstimatorKind::Ewma`] the barrier additionally runs
-//! the learned-state sync (per-shard replacement-policy predictor slices
-//! pool their training through
-//! `ReplacementPolicy::{export_learned, import_learned}` — see
-//! [`super`]'s barrier and `docs/ARCHITECTURE.md` §"Issue-latency
-//! estimation"), because the fidelity study found the sharded policy
-//! training to be the larger half of the fig12 error floor the estimator
-//! attacks.
+//! [`Ewma`] is the one issue-latency model: it learns per-core,
+//! per-stream-class (instruction fetch vs. data) expected latencies from
+//! drained barrier outcomes — an exponentially weighted hit rate plus
+//! hit/miss latency averages, combined into an expected access latency at
+//! issue time. The barrier pairs it with the learned-state sync (per-shard
+//! replacement-policy predictor slices pool their training through
+//! `ReplacementPolicy::{export_learned, import_learned}` — see [`super`]'s
+//! barrier and `docs/ARCHITECTURE.md` §"Issue-latency estimation").
 //!
 //! Determinism: estimator state lives in each [`super::private::EpochCore`]
 //! and is only mutated at epoch barriers, from that core's own outcomes in
 //! sequence order ([`super::private::ClusterSim::apply_corrections`]) — a
 //! pure function of the simulated schedule, never of worker scheduling —
 //! so `workers=1` vs `workers=N` results stay byte-identical per fixed
-//! epoch window under every estimator (`tests/determinism.rs`,
+//! epoch window (`tests/determinism.rs`,
 //! `crates/sim/tests/engine_properties.rs`).
 
 use super::request::ReqOutcome;
@@ -43,48 +31,17 @@ use crate::core_model::combine_data_stalls;
 use garibaldi_trace::MAX_DATA_REFS;
 use serde::{Deserialize, Serialize};
 
-/// Which latency estimator the epoch engine charges at issue time (the
-/// `estimator` axis of [`crate::config::EngineConfig`]).
+/// The parallel engine's issue-latency model: always [`Ewma`].
+///
+/// Kept, with its one variant, only because the repository benchmark
+/// (`perfbench/`) still names it when it sets
+/// [`crate::config::EngineConfig::estimator`]; no code branches on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EstimatorKind {
-    /// Constant LLC-hit latency (the original engine behavior,
-    /// bit-identical; shard policy slices train in isolation).
-    #[default]
-    Optimistic,
     /// Learned per-core, per-stream-class EWMA of drained outcomes, plus
     /// the barrier learned-state sync for sharded replacement policies.
+    #[default]
     Ewma,
-}
-
-impl EstimatorKind {
-    /// Every selectable kind, in report order.
-    pub const ALL: [EstimatorKind; 2] = [EstimatorKind::Optimistic, EstimatorKind::Ewma];
-
-    /// Stable lowercase name (env values, report axes, engine tags).
-    pub fn label(&self) -> &'static str {
-        match self {
-            EstimatorKind::Optimistic => "optimistic",
-            EstimatorKind::Ewma => "ewma",
-        }
-    }
-
-    /// Parses an env-var value (`GARIBALDI_ESTIMATOR` hardening: invalid
-    /// values must fail loudly, naming the variable and the value, never
-    /// silently fall back). `Ok(None)` when unset.
-    ///
-    /// # Errors
-    ///
-    /// Rejects anything but `"optimistic"` / `"ewma"` (trimmed).
-    pub fn parse(var: &str, raw: Option<&str>) -> Result<Option<Self>, String> {
-        let Some(raw) = raw else {
-            return Ok(None);
-        };
-        match raw.trim() {
-            "optimistic" => Ok(Some(EstimatorKind::Optimistic)),
-            "ewma" => Ok(Some(EstimatorKind::Ewma)),
-            other => Err(format!("{var} must be \"optimistic\" or \"ewma\", got {other:?}")),
-        }
-    }
 }
 
 /// When the epoch engine merges and installs learned state — the
@@ -150,8 +107,8 @@ impl TrainMode {
 
 /// The stream class an LLC-bound access belongs to. Instruction fetches
 /// and data accesses have structurally different latency distributions
-/// (the cost asymmetry at the heart of the paper), so the learned
-/// estimator keeps separate state per class.
+/// (the cost asymmetry at the heart of the paper), so the estimator keeps
+/// separate state per class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamClass {
     /// Demand instruction fetch.
@@ -168,45 +125,6 @@ impl StreamClass {
             StreamClass::Data => 1,
         }
     }
-}
-
-/// A per-core issue-latency estimator.
-///
-/// Implementations must be pure functions of the observation sequence:
-/// [`LatencyEstimator::observe`] is called at epoch barriers only, in the
-/// core's request sequence order, so any state evolution is deterministic
-/// and worker-count invariant.
-pub trait LatencyEstimator {
-    /// Full access latency (cycles) to charge at issue time for an
-    /// LLC-bound access of `class`.
-    fn issue_estimate(&self, class: StreamClass) -> u64;
-
-    /// Learns from one drained demand outcome of `class`.
-    fn observe(&mut self, class: StreamClass, outcome: ReqOutcome);
-}
-
-/// The original engine behavior: every deferred access is charged the
-/// constant LLC-hit latency at issue time and corrected at the barrier.
-#[derive(Debug, Clone, Copy)]
-pub struct Optimistic {
-    hit_latency: u64,
-}
-
-impl Optimistic {
-    /// Estimator charging `cfg`'s L1+L2+LLC hit latency.
-    pub fn new(cfg: &SystemConfig) -> Self {
-        Self { hit_latency: cfg.l1_latency + cfg.l2_latency + cfg.llc_latency }
-    }
-}
-
-impl LatencyEstimator for Optimistic {
-    #[inline]
-    fn issue_estimate(&self, _class: StreamClass) -> u64 {
-        self.hit_latency
-    }
-
-    #[inline]
-    fn observe(&mut self, _class: StreamClass, _outcome: ReqOutcome) {}
 }
 
 /// EWMA weight: each new observation contributes 1/16. Small enough to
@@ -266,8 +184,11 @@ impl ClassEwma {
 /// Learned per-core, per-stream-class estimator: charges the expected
 /// access latency `P(hit)·E[lat|hit] + P(miss)·E[lat|miss]`, each term an
 /// EWMA over this core's drained outcomes. Cold state (no observations
-/// yet) falls back to the optimistic constant, so the first epoch is
-/// identical to [`Optimistic`].
+/// yet) falls back to the L1+L2+LLC hit latency.
+///
+/// A pure function of the observation sequence: [`Ewma::observe`] is
+/// called at epoch barriers only, in the core's request sequence order, so
+/// its state evolution is deterministic and worker-count invariant.
 #[derive(Debug, Clone, Copy)]
 pub struct Ewma {
     hit_latency: u64,
@@ -282,55 +203,18 @@ impl Ewma {
             classes: [ClassEwma::default(); 2],
         }
     }
-}
 
-impl LatencyEstimator for Ewma {
+    /// Full access latency (cycles) to charge at issue time for an
+    /// LLC-bound access of `class`.
     #[inline]
-    fn issue_estimate(&self, class: StreamClass) -> u64 {
+    pub fn issue_estimate(&self, class: StreamClass) -> u64 {
         self.classes[class.idx()].expected(self.hit_latency)
     }
 
+    /// Learns from one drained demand outcome of `class`.
     #[inline]
-    fn observe(&mut self, class: StreamClass, outcome: ReqOutcome) {
+    pub fn observe(&mut self, class: StreamClass, outcome: ReqOutcome) {
         self.classes[class.idx()].observe(outcome);
-    }
-}
-
-/// Static dispatch over the configured estimator (one per core; the hot
-/// issue path must not pay a vtable call per LLC-bound access).
-#[derive(Debug, Clone, Copy)]
-pub enum AnyEstimator {
-    /// [`Optimistic`].
-    Optimistic(Optimistic),
-    /// [`Ewma`].
-    Ewma(Ewma),
-}
-
-impl AnyEstimator {
-    /// Builds the estimator `kind` for `cfg`.
-    pub fn new(kind: EstimatorKind, cfg: &SystemConfig) -> Self {
-        match kind {
-            EstimatorKind::Optimistic => AnyEstimator::Optimistic(Optimistic::new(cfg)),
-            EstimatorKind::Ewma => AnyEstimator::Ewma(Ewma::new(cfg)),
-        }
-    }
-}
-
-impl LatencyEstimator for AnyEstimator {
-    #[inline]
-    fn issue_estimate(&self, class: StreamClass) -> u64 {
-        match self {
-            AnyEstimator::Optimistic(e) => e.issue_estimate(class),
-            AnyEstimator::Ewma(e) => e.issue_estimate(class),
-        }
-    }
-
-    #[inline]
-    fn observe(&mut self, class: StreamClass, outcome: ReqOutcome) {
-        match self {
-            AnyEstimator::Optimistic(e) => e.observe(class, outcome),
-            AnyEstimator::Ewma(e) => e.observe(class, outcome),
-        }
     }
 }
 
@@ -422,7 +306,7 @@ pub fn correct_record(
     p: &PendingRecord,
     outcomes: &[ReqOutcome],
     cfg: &SystemConfig,
-    est: &mut AnyEstimator,
+    est: &mut Ewma,
     stats: &mut EstimatorStats,
 ) -> (f64, f64) {
     let actual_ifetch_stall = match p.ifetch.seq {
@@ -470,39 +354,13 @@ mod tests {
         ReqOutcome { latency: lat, llc_hit: false }
     }
 
-    #[test]
-    fn kind_parse_accepts_names_and_rejects_garbage() {
-        assert_eq!(EstimatorKind::parse("X", None).unwrap(), None);
-        assert_eq!(
-            EstimatorKind::parse("X", Some(" optimistic ")).unwrap(),
-            Some(EstimatorKind::Optimistic)
-        );
-        assert_eq!(EstimatorKind::parse("X", Some("ewma")).unwrap(), Some(EstimatorKind::Ewma));
-        for bad in ["EWMA", "learned", "", "1"] {
-            let err = EstimatorKind::parse("GARIBALDI_ESTIMATOR", Some(bad)).unwrap_err();
-            assert!(err.contains("GARIBALDI_ESTIMATOR"), "{err}");
-        }
-    }
-
-    #[test]
-    fn optimistic_always_charges_the_hit_constant() {
-        let c = cfg();
-        let want = c.l1_latency + c.l2_latency + c.llc_latency;
-        let mut e = Optimistic::new(&c);
-        assert_eq!(e.issue_estimate(StreamClass::Ifetch), want);
-        for _ in 0..100 {
-            e.observe(StreamClass::Data, miss(5_000));
-        }
-        assert_eq!(e.issue_estimate(StreamClass::Data), want, "observations are ignored");
-    }
-
+    /// Cold state charges the optimistic L1+L2+LLC hit constant.
     #[test]
     fn ewma_cold_state_matches_optimistic() {
         let c = cfg();
         let e = Ewma::new(&c);
-        let opt = Optimistic::new(&c);
         for class in [StreamClass::Ifetch, StreamClass::Data] {
-            assert_eq!(e.issue_estimate(class), opt.issue_estimate(class));
+            assert_eq!(e.issue_estimate(class), c.l1_latency + c.l2_latency + c.llc_latency);
         }
     }
 
@@ -554,7 +412,7 @@ mod tests {
     #[test]
     fn correct_record_charges_the_estimate_outcome_gap() {
         let c = cfg();
-        let mut est = AnyEstimator::new(EstimatorKind::Optimistic, &c);
+        let mut est = Ewma::new(&c);
         let mut stats = EstimatorStats::default();
         let hitlat = c.l1_latency + c.l2_latency + c.llc_latency;
         let p = PendingRecord {

@@ -22,15 +22,15 @@
 //!    cross-shard Garibaldi traffic (pair updates keyed by the instruction
 //!    line's shard, pairwise prefetch fills keyed by the data line's) is
 //!    key-merged and applied in a second parallel shard pass; coherence
-//!    invalidations flow back to the private tiers; under the ewma
-//!    fidelity profile the shards pool their replacement-policy learned
+//!    invalidations flow back to the private tiers; every `sync_every`-th
+//!    barrier the shards pool their replacement-policy learned
 //!    state (merged on the barrier path under [`estimate::TrainMode::Sync`],
 //!    or — under [`estimate::TrainMode::Async`] — merged overlapped with
 //!    the next epoch's step phase and installed one barrier late, with
 //!    pair-table confidence updates privatized per source shard); and
 //!    every core's issue-time latency estimates are corrected
-//!    to the drained outcomes, which also train the configured
-//!    [`estimate::LatencyEstimator`]. All barrier orders are restored by
+//!    to the drained outcomes, which also train the core's
+//!    [`estimate::Ewma`] estimator. All barrier orders are restored by
 //!    stable k-way merges of already-sorted runs ([`merge`]), never by
 //!    comparison sorts.
 //!
@@ -255,7 +255,7 @@ impl<'p> ParallelEngine<'p> {
             let lo = k * cfg.l2_cluster_size;
             let hi = (lo + cfg.l2_cluster_size).min(cfg.cores);
             let members: Vec<_> = cores.drain(..hi - lo).collect();
-            clusters.push(ClusterSim::new(cfg, k, lo, members, eng.estimator));
+            clusters.push(ClusterSim::new(cfg, k, lo, members));
         }
 
         Self {
@@ -653,13 +653,11 @@ impl<'p> ParallelEngine<'p> {
         self.invalidations += dropped.iter().sum::<u64>();
         self.check()?;
 
-        // Learned-state sync (the ewma fidelity profile only — the
-        // optimistic profile stays bit-identical to the pre-estimator
-        // engine): every shard's replacement policy trained its slice of
-        // the PC-indexed predictor on 1/n of the samples this epoch; the
-        // shards export their privatized deltas, the deltas are merged
-        // once into a pooled consensus, and every shard installs it, so
-        // the sharded policy tracks the serial engine's one
+        // Learned-state sync: every shard's replacement policy trained its
+        // slice of the PC-indexed predictor on 1/n of the samples this
+        // epoch; the shards export their privatized deltas, the deltas are
+        // merged once into a pooled consensus, and every shard installs
+        // it, so the sharded policy tracks the serial engine's one
         // globally-trained instance. Exports are indexed by shard and the
         // merge is a pure function of them — worker-count invariant.
         //
@@ -668,9 +666,7 @@ impl<'p> ParallelEngine<'p> {
         // the simulated schedule, so the sync schedule — and therefore the
         // results — stay worker-count invariant for every `sync_every`.
         let mut t_sync = std::time::Duration::ZERO;
-        if self.eng.estimator == estimate::EstimatorKind::Ewma
-            && self.stats.barriers % self.eng.sync_every.max(1) as u64 == 0
-        {
+        if self.stats.barriers % self.eng.sync_every.max(1) as u64 == 0 {
             let tm = std::time::Instant::now();
             for (sh, buf) in self.shards.iter().zip(self.learned_exports.iter_mut()) {
                 sh.export_policy_learned_into(buf);
@@ -825,9 +821,8 @@ impl<'p> ParallelEngine<'p> {
                 }
             }
             eprintln!(
-                "[engine] estimator={} samples={} bias={:+.2} rms={:.2} \
+                "[engine] estimator=ewma samples={} bias={:+.2} rms={:.2} \
                  (issue estimate − drained latency, cycles, measured region)",
-                self.eng.estimator.label(),
                 est.samples,
                 est.bias(),
                 est.rms(),

@@ -18,7 +18,7 @@
 
 use crate::checkpoint::{self, esc, num, Json};
 use crate::config::{EngineChoice, EngineConfig, LlcScheme};
-use crate::engine::estimate::{EstimatorKind, TrainMode};
+use crate::engine::estimate::TrainMode;
 use crate::experiment::{geomean, ExperimentScale};
 use crate::metrics::{MetricDiff, RunDiff, RunResult};
 use garibaldi_cache::PolicyKind;
@@ -79,24 +79,19 @@ pub struct FidelityJob {
 }
 
 /// A full sweep: every point on the serial engine once, plus once per
-/// (`epoch_cycles` grid value × issue-latency estimator) on the parallel
-/// engine.
+/// `epoch_cycles` grid value on the parallel engine.
 #[derive(Debug, Clone)]
 pub struct FidelitySuite {
     /// Scale every point runs at.
     pub scale: ExperimentScale,
     /// `epoch_cycles` values under test.
     pub epoch_grid: Vec<u64>,
-    /// Issue-latency estimators under test (the second model axis; see
-    /// `sim::engine::estimate`).
-    pub estimators: Vec<EstimatorKind>,
     /// LLC shard count for the parallel runs.
     pub llc_shards: usize,
     /// Learned-state sync cadence for the parallel runs
-    /// ([`EngineConfig::sync_every`]): the ewma sync runs every this many
-    /// barriers. Only the ewma estimator is sensitive to it; its engine
-    /// tags embed non-default values, so suite keys never collide across
-    /// cadences.
+    /// ([`EngineConfig::sync_every`]): the sync runs every this many
+    /// barriers. Engine tags embed the cadence, so suite keys never
+    /// collide across cadences.
     pub sync_every: usize,
     /// Learned-state training mode for the parallel runs
     /// ([`EngineConfig::train_mode`]): synchronous (merge + install on the
@@ -161,7 +156,6 @@ impl FidelitySuite {
         Self {
             scale,
             epoch_grid,
-            estimators: EstimatorKind::ALL.to_vec(),
             llc_shards: EngineConfig::default().llc_shards,
             sync_every: EngineConfig::default().sync_every,
             train_mode: EngineConfig::default().train_mode,
@@ -173,33 +167,25 @@ impl FidelitySuite {
         }
     }
 
-    /// The parallel-engine config for one (grid value, estimator) cell.
-    pub fn engine_at(&self, epoch_cycles: u64, estimator: EstimatorKind) -> EngineConfig {
+    /// The parallel-engine config for one grid value.
+    pub fn engine_at(&self, epoch_cycles: u64) -> EngineConfig {
         EngineConfig {
             workers: 1,
             epoch_cycles,
             llc_shards: self.llc_shards,
-            estimator,
             sync_every: self.sync_every,
             train_mode: self.train_mode,
+            ..EngineConfig::default()
         }
     }
 
     /// Enumerates every simulation of the sweep in a fixed order: the
-    /// serial baseline block first, then one block per `epoch_grid` value
-    /// × estimator (epoch-major, estimator-minor).
+    /// serial baseline block first, then one block per `epoch_grid` value.
     /// [`FidelitySuite::assemble`] consumes results in exactly this order.
     pub fn jobs(&self) -> Vec<FidelityJob> {
-        let blocks = 1 + self.epoch_grid.len() * self.estimators.len();
-        let mut jobs = Vec::with_capacity(self.points.len() * blocks);
-        let engines: Vec<EngineChoice> = std::iter::once(EngineChoice::Serial)
-            .chain(
-                self.epoch_grid
-                    .iter()
-                    .flat_map(|&e| self.estimators.iter().map(move |&k| (e, k)))
-                    .map(|(e, k)| EngineChoice::Parallel(self.engine_at(e, k))),
-            )
-            .collect();
+        let engines = std::iter::once(EngineChoice::Serial)
+            .chain(self.epoch_grid.iter().map(|&e| EngineChoice::Parallel(self.engine_at(e))));
+        let mut jobs = Vec::with_capacity(self.points.len() * (1 + self.epoch_grid.len()));
         for engine in engines {
             for (i, p) in self.points.iter().enumerate() {
                 let key = format!(
@@ -220,7 +206,7 @@ impl FidelitySuite {
 
     /// Reduces run results (in [`FidelitySuite::jobs`] order) into the
     /// report: per-point metric diffs and per-figure geomean errors, per
-    /// (epoch, estimator) cell.
+    /// epoch.
     ///
     /// # Panics
     ///
@@ -230,37 +216,29 @@ impl FidelitySuite {
         let n = self.points.len();
         assert_eq!(
             results.len(),
-            n * (1 + self.epoch_grid.len() * self.estimators.len()),
+            n * (1 + self.epoch_grid.len()),
             "one result per FidelitySuite::jobs entry"
         );
         let serial = &results[..n];
         let mut cells = Vec::new();
         let mut figures = Vec::new();
         for (g, &epoch) in self.epoch_grid.iter().enumerate() {
-            for (s, &kind) in self.estimators.iter().enumerate() {
-                let b = 1 + g * self.estimators.len() + s;
-                let par = &results[n * b..n * (b + 1)];
-                let estimator = kind.label();
-                for (i, p) in self.points.iter().enumerate() {
-                    cells.push(FidelityCell {
-                        figure: p.figure.clone(),
-                        case: p.case.clone(),
-                        scheme: p.scheme.label(),
-                        epoch_cycles: epoch,
-                        estimator,
-                        diff: par[i].diff(&serial[i]),
-                    });
-                }
-                for (figure, metric) in &self.figure_metrics {
-                    figures.extend(
-                        self.figure_geomeans(figure, *metric, epoch, estimator, serial, par),
-                    );
-                }
+            let par = &results[n * (g + 1)..n * (g + 2)];
+            for (i, p) in self.points.iter().enumerate() {
+                cells.push(FidelityCell {
+                    figure: p.figure.clone(),
+                    case: p.case.clone(),
+                    scheme: p.scheme.label(),
+                    epoch_cycles: epoch,
+                    diff: par[i].diff(&serial[i]),
+                });
+            }
+            for (figure, metric) in &self.figure_metrics {
+                figures.extend(self.figure_geomeans(figure, *metric, epoch, serial, par));
             }
         }
         FidelityReport {
             epoch_grid: self.epoch_grid.clone(),
-            estimators: self.estimators.iter().map(|k| k.label()).collect(),
             llc_shards: self.llc_shards,
             sync_every: self.sync_every,
             train_mode: self.train_mode.label(),
@@ -276,7 +254,6 @@ impl FidelitySuite {
         figure: &str,
         metric: SpeedupMetric,
         epoch: u64,
-        estimator: &'static str,
         serial: &[RunResult],
         par: &[RunResult],
     ) -> Vec<FigureGeomean> {
@@ -324,7 +301,6 @@ impl FidelitySuite {
                     scheme: scheme.clone(),
                     metric: metric.name(),
                     epoch_cycles: epoch,
-                    estimator,
                     serial_geomean: s,
                     parallel_geomean: p,
                     rel_err: crate::metrics::rel_err(s, p),
@@ -334,8 +310,8 @@ impl FidelitySuite {
     }
 }
 
-/// One (point, epoch, estimator) comparison: the parallel run's metric
-/// diff against the matched serial run.
+/// One (point, epoch) comparison: the parallel run's metric diff against
+/// the matched serial run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FidelityCell {
     /// Figure group.
@@ -346,8 +322,6 @@ pub struct FidelityCell {
     pub scheme: String,
     /// Parallel engine's epoch window.
     pub epoch_cycles: u64,
-    /// Parallel engine's issue-latency estimator.
-    pub estimator: &'static str,
     /// Per-metric relative errors.
     pub diff: RunDiff,
 }
@@ -364,8 +338,6 @@ pub struct FigureGeomean {
     pub metric: &'static str,
     /// Parallel engine's epoch window.
     pub epoch_cycles: u64,
-    /// Parallel engine's issue-latency estimator.
-    pub estimator: &'static str,
     /// Serial-engine geomean speedup over LRU.
     pub serial_geomean: f64,
     /// Parallel-engine geomean speedup over LRU.
@@ -379,26 +351,23 @@ pub struct FigureGeomean {
 pub struct FidelityReport {
     /// `epoch_cycles` values swept.
     pub epoch_grid: Vec<u64>,
-    /// Estimator axis (labels, in sweep order).
-    pub estimators: Vec<&'static str>,
     /// LLC shard count of the parallel runs.
     pub llc_shards: usize,
-    /// Learned-state sync cadence of the parallel runs (ewma only; 1 =
-    /// every barrier, the pre-knob behavior).
+    /// Learned-state sync cadence of the parallel runs (1 = every
+    /// barrier, the pre-knob behavior).
     pub sync_every: usize,
     /// Learned-state training-mode label of the parallel runs (`"sync"`
     /// = merged on the barrier critical path, `"async"` = merged off it,
     /// installed one barrier late).
     pub train_mode: &'static str,
-    /// Per-(point, epoch, estimator) metric diffs.
+    /// Per-(point, epoch) metric diffs.
     pub cells: Vec<FidelityCell>,
-    /// Per-(figure, scheme, epoch, estimator) geomean comparisons.
+    /// Per-(figure, scheme, epoch) geomean comparisons.
     pub figures: Vec<FigureGeomean>,
 }
 
 impl FidelityReport {
-    /// Largest per-metric relative error across all cells at `epoch`,
-    /// across every estimator.
+    /// Largest per-metric relative error across all cells at `epoch`.
     pub fn max_cell_err(&self, epoch: u64) -> f64 {
         self.cells
             .iter()
@@ -407,17 +376,8 @@ impl FidelityReport {
             .fold(0.0, f64::max)
     }
 
-    /// [`FidelityReport::max_cell_err`] restricted to one estimator.
-    pub fn max_cell_err_for(&self, epoch: u64, estimator: &str) -> f64 {
-        self.cells
-            .iter()
-            .filter(|c| c.epoch_cycles == epoch && c.estimator == estimator)
-            .map(|c| c.diff.max_rel_err())
-            .fold(0.0, f64::max)
-    }
-
-    /// Largest figure-geomean relative error at `epoch`, across every
-    /// estimator — the number the acceptance tolerance gates on.
+    /// Largest figure-geomean relative error at `epoch` — the number the
+    /// acceptance tolerance gates on.
     pub fn max_figure_err(&self, epoch: u64) -> f64 {
         self.figures
             .iter()
@@ -426,48 +386,15 @@ impl FidelityReport {
             .fold(0.0, f64::max)
     }
 
-    /// [`FidelityReport::max_figure_err`] restricted to one estimator.
-    pub fn max_figure_err_for(&self, epoch: u64, estimator: &str) -> f64 {
-        self.figures
-            .iter()
-            .filter(|f| f.epoch_cycles == epoch && f.estimator == estimator)
-            .map(|f| f.rel_err)
-            .fold(0.0, f64::max)
-    }
-
-    /// The best (epoch, estimator) recommendation: the largest grid epoch
-    /// where *some* estimator keeps the figure-geomean error within `tol`
-    /// (largest = fewest barriers = fastest), together with the estimator
-    /// achieving the smallest error there; falls back to the overall
-    /// minimum-error cell when none qualifies.
-    pub fn recommend(&self, tol: f64) -> Option<(u64, &'static str)> {
-        let best_at = |e: u64| -> Option<(&'static str, f64)> {
-            self.estimators
-                .iter()
-                .map(|&k| (k, self.max_figure_err_for(e, k)))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-        };
-        let within: Option<u64> = self
-            .epoch_grid
-            .iter()
-            .copied()
-            .filter(|&e| best_at(e).is_some_and(|(_, err)| err <= tol))
-            .max();
-        let epoch = match within {
-            Some(e) => Some(e),
-            None => self.epoch_grid.iter().copied().min_by(|&a, &b| {
-                let ea = best_at(a).map(|(_, e)| e).unwrap_or(f64::INFINITY);
-                let eb = best_at(b).map(|(_, e)| e).unwrap_or(f64::INFINITY);
-                ea.total_cmp(&eb)
-            }),
-        };
-        epoch.and_then(|e| best_at(e).map(|(k, _)| (e, k)))
-    }
-
-    /// [`FidelityReport::recommend`]'s epoch alone (back-compatible
-    /// helper).
+    /// The recommended `epoch_cycles`: the largest grid value whose
+    /// figure-geomean error is within `tol` (largest = fewest barriers =
+    /// fastest); falls back to the minimum-error value when none
+    /// qualifies.
     pub fn recommend_epoch(&self, tol: f64) -> Option<u64> {
-        self.recommend(tol).map(|(e, _)| e)
+        let grid = self.epoch_grid.iter().copied();
+        grid.clone().filter(|&e| self.max_figure_err(e) <= tol).max().or_else(|| {
+            grid.min_by(|&a, &b| self.max_figure_err(a).total_cmp(&self.max_figure_err(b)))
+        })
     }
 
     /// Serializes the report as JSON lines: a `meta` line, one `cell` line
@@ -477,12 +404,9 @@ impl FidelityReport {
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         let grid = self.epoch_grid.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        let ests =
-            self.estimators.iter().map(|k| format!("\"{}\"", esc(k))).collect::<Vec<_>>().join(",");
         let _ = writeln!(
             out,
-            "{{\"type\":\"meta\",\"epoch_grid\":[{grid}],\"estimators\":[{ests}],\
-             \"llc_shards\":{},\"sync_every\":{},\"train_mode\":\"{}\"}}",
+            "{{\"type\":\"meta\",\"epoch_grid\":[{grid}],\"llc_shards\":{},\"sync_every\":{},\"train_mode\":\"{}\"}}",
             self.llc_shards,
             self.sync_every,
             esc(self.train_mode)
@@ -506,25 +430,23 @@ impl FidelityReport {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"cell\",\"figure\":\"{}\",\"case\":\"{}\",\"scheme\":\"{}\",\
-                 \"epoch_cycles\":{},\"estimator\":\"{}\",\"metrics\":[{metrics}]}}",
+                 \"epoch_cycles\":{},\"metrics\":[{metrics}]}}",
                 esc(&c.figure),
                 esc(&c.case),
                 esc(&c.scheme),
-                c.epoch_cycles,
-                esc(c.estimator)
+                c.epoch_cycles
             );
         }
         for f in &self.figures {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"figure\",\"figure\":\"{}\",\"scheme\":\"{}\",\"metric\":\"{}\",\
-                 \"epoch_cycles\":{},\"estimator\":\"{}\",\"serial_geomean\":{},\
-                 \"parallel_geomean\":{},\"rel_err\":{}}}",
+                 \"epoch_cycles\":{},\"serial_geomean\":{},\"parallel_geomean\":{},\
+                 \"rel_err\":{}}}",
                 esc(&f.figure),
                 esc(&f.scheme),
                 esc(f.metric),
                 f.epoch_cycles,
-                esc(f.estimator),
                 num(f.serial_geomean),
                 num(f.parallel_geomean),
                 num(f.rel_err)
@@ -533,14 +455,11 @@ impl FidelityReport {
         let maxima = self
             .epoch_grid
             .iter()
-            .flat_map(|&e| self.estimators.iter().map(move |&k| (e, k)))
-            .map(|(e, k)| {
+            .map(|&e| {
                 format!(
-                    "{{\"epoch_cycles\":{e},\"estimator\":\"{}\",\"max_cell_err\":{},\
-                     \"max_figure_err\":{}}}",
-                    esc(k),
-                    num(self.max_cell_err_for(e, k)),
-                    num(self.max_figure_err_for(e, k))
+                    "{{\"epoch_cycles\":{e},\"max_cell_err\":{},\"max_figure_err\":{}}}",
+                    num(self.max_cell_err(e)),
+                    num(self.max_figure_err(e))
                 )
             })
             .collect::<Vec<_>>()
@@ -551,10 +470,12 @@ impl FidelityReport {
 
     /// Parses [`FidelityReport::to_json_lines`] output back (summary lines
     /// are recomputed, not trusted). Unparseable lines are skipped, like
-    /// checkpoint loading.
+    /// checkpoint loading, and so are the rows of any issue-latency model
+    /// other than ewma: reports written while the engine had an estimator
+    /// axis label every row, and their `"optimistic"` rows are historical,
+    /// never to be merged into the ewma cells.
     pub fn parse_json_lines(text: &str) -> Option<FidelityReport> {
         let mut epoch_grid = Vec::new();
-        let mut estimators: Vec<&'static str> = Vec::new();
         let mut llc_shards = 0usize;
         let mut sync_every = 1usize;
         let mut train_mode = TrainMode::default().label();
@@ -563,6 +484,9 @@ impl FidelityReport {
         let mut saw_meta = false;
         for line in text.lines() {
             let Some(j) = checkpoint::parse_json(line) else { continue };
+            if !matches!(j.str_field("estimator").as_str(), "" | "ewma") {
+                continue;
+            }
             match j.str_field("type").as_str() {
                 "meta" => {
                     saw_meta = true;
@@ -588,15 +512,6 @@ impl FidelityReport {
                             })
                             .collect();
                     }
-                    if let Some(Json::Arr(v)) = j.get("estimators") {
-                        estimators = v
-                            .iter()
-                            .filter_map(|e| match e {
-                                Json::Str(s) => Some(estimator_name(s)),
-                                _ => None,
-                            })
-                            .collect();
-                    }
                 }
                 "cell" => {
                     let metrics = match j.get("metrics") {
@@ -616,7 +531,6 @@ impl FidelityReport {
                         case: j.str_field("case"),
                         scheme: j.str_field("scheme"),
                         epoch_cycles: j.u64_field("epoch_cycles"),
-                        estimator: estimator_name(&j.str_field("estimator")),
                         diff: RunDiff { metrics },
                     });
                 }
@@ -625,7 +539,6 @@ impl FidelityReport {
                     scheme: j.str_field("scheme"),
                     metric: metric_name(&j.str_field("metric")),
                     epoch_cycles: j.u64_field("epoch_cycles"),
-                    estimator: estimator_name(&j.str_field("estimator")),
                     serial_geomean: j.f64_field("serial_geomean"),
                     parallel_geomean: j.f64_field("parallel_geomean"),
                     rel_err: j.f64_field("rel_err"),
@@ -633,14 +546,8 @@ impl FidelityReport {
                 _ => {}
             }
         }
-        if estimators.is_empty() {
-            // Reports written before the estimator axis existed carry only
-            // the then-only optimistic estimator.
-            estimators = vec![EstimatorKind::Optimistic.label()];
-        }
         saw_meta.then_some(FidelityReport {
             epoch_grid,
-            estimators,
             llc_shards,
             sync_every,
             train_mode,
@@ -649,52 +556,47 @@ impl FidelityReport {
         })
     }
 
-    /// Renders the human-readable summary: one row per (epoch, estimator)
-    /// with the worst cell/figure errors, then the per-figure geomean
-    /// table.
+    /// Renders the human-readable summary: one row per epoch with the
+    /// worst cell/figure errors, then the per-figure geomean table.
     pub fn human_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>12}  {:>10}  {:>14}  {:>16}  worst cell",
-            "epoch_cycles", "estimator", "max cell err", "max figure err"
+            "{:>12}  {:>14}  {:>16}  worst cell",
+            "epoch_cycles", "max cell err", "max figure err"
         );
         for &e in &self.epoch_grid {
-            for &k in &self.estimators {
-                let worst = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.epoch_cycles == e && c.estimator == k)
-                    .max_by(|a, b| a.diff.max_rel_err().total_cmp(&b.diff.max_rel_err()));
-                let desc = worst
-                    .map(|c| {
-                        let m = c.diff.worst().map(|m| m.name).unwrap_or("-");
-                        format!("{}/{}/{} ({m})", c.figure, c.case, c.scheme)
-                    })
-                    .unwrap_or_default();
-                let _ = writeln!(
-                    out,
-                    "{:>12}  {:>10}  {:>13.4}%  {:>15.4}%  {desc}",
-                    e,
-                    k,
-                    self.max_cell_err_for(e, k) * 100.0,
-                    self.max_figure_err_for(e, k) * 100.0
-                );
-            }
+            let worst = self
+                .cells
+                .iter()
+                .filter(|c| c.epoch_cycles == e)
+                .max_by(|a, b| a.diff.max_rel_err().total_cmp(&b.diff.max_rel_err()));
+            let desc = worst
+                .map(|c| {
+                    let m = c.diff.worst().map(|m| m.name).unwrap_or("-");
+                    format!("{}/{}/{} ({m})", c.figure, c.case, c.scheme)
+                })
+                .unwrap_or_default();
+            let _ = writeln!(
+                out,
+                "{:>12}  {:>13.4}%  {:>15.4}%  {desc}",
+                e,
+                self.max_cell_err(e) * 100.0,
+                self.max_figure_err(e) * 100.0
+            );
         }
         let _ = writeln!(
             out,
-            "\n{:>6} {:>22} {:>12} {:>10} {:>10} {:>10} {:>9}",
-            "figure", "scheme", "epoch", "estimator", "serial", "parallel", "err"
+            "\n{:>6} {:>22} {:>12} {:>10} {:>10} {:>9}",
+            "figure", "scheme", "epoch", "serial", "parallel", "err"
         );
         for f in &self.figures {
             let _ = writeln!(
                 out,
-                "{:>6} {:>22} {:>12} {:>10} {:>10.4} {:>10.4} {:>8.4}%",
+                "{:>6} {:>22} {:>12} {:>10.4} {:>10.4} {:>8.4}%",
                 f.figure,
                 f.scheme,
                 f.epoch_cycles,
-                f.estimator,
                 f.serial_geomean,
                 f.parallel_geomean,
                 f.rel_err * 100.0
@@ -721,21 +623,9 @@ fn metric_name(name: &str) -> &'static str {
     KNOWN.iter().find(|k| **k == name).copied().unwrap_or("unknown_metric")
 }
 
-/// Interns a parsed estimator label. Absent/empty fields (reports written
-/// before the estimator axis) mean the then-only optimistic estimator;
-/// any *other* unknown label maps to a sentinel rather than a real
-/// estimator, so rows from a newer build are never silently misattributed
-/// (mirrors [`metric_name`]'s `"unknown_metric"` convention).
-fn estimator_name(name: &str) -> &'static str {
-    if name.is_empty() {
-        return EstimatorKind::Optimistic.label();
-    }
-    EstimatorKind::ALL.iter().map(|k| k.label()).find(|l| *l == name).unwrap_or("unknown_estimator")
-}
-
 /// Interns a parsed train-mode label. Absent/empty fields (reports written
 /// before the train-mode axis) mean the then-only synchronous mode; any
-/// *other* unknown label maps to a sentinel (mirrors [`estimator_name`]).
+/// *other* unknown label maps to a sentinel (mirrors [`metric_name`]).
 fn train_mode_name(name: &str) -> &'static str {
     if name.is_empty() {
         return TrainMode::Sync.label();
@@ -789,7 +679,6 @@ mod tests {
         FidelitySuite {
             scale,
             epoch_grid: vec![100, 200],
-            estimators: vec![EstimatorKind::Optimistic],
             llc_shards: 2,
             sync_every: 1,
             train_mode: TrainMode::Sync,
@@ -858,43 +747,23 @@ mod tests {
     }
 
     #[test]
-    fn unknown_estimator_labels_parse_to_a_sentinel_not_a_real_estimator() {
-        assert_eq!(estimator_name(""), "optimistic", "pre-axis reports are optimistic");
-        assert_eq!(estimator_name("ewma"), "ewma");
-        assert_eq!(estimator_name("bayes"), "unknown_estimator", "never misattribute");
-    }
-
-    #[test]
-    fn estimator_axis_separates_errors_and_informs_the_recommendation() {
-        let mut s = tiny_suite();
-        s.estimators = vec![EstimatorKind::Optimistic, EstimatorKind::Ewma];
-        s.epoch_grid = vec![100];
-        // Serial block, then optimistic (reads +2 %) then ewma (exact).
-        let serial = &tiny_results()[..4];
-        let opt = vec![
-            result(&[1.0, 1.0]),
-            result(&[1.122, 1.122]),
-            result(&[1.0, 1.0]),
-            result(&[1.122, 1.122]),
-        ];
-        let results = [serial.to_vec(), opt, serial.to_vec()].concat();
-
-        let jobs = s.jobs();
-        assert_eq!(jobs.len(), 4 * 3, "serial + one block per estimator");
-        assert!(jobs[4].key.contains("sharded-s2-e100/"), "optimistic keeps the bare tag");
-        assert!(jobs[8].key.contains("sharded-s2-e100-ewma/"), "ewma tag names the estimator");
-
-        let report = s.assemble(&results);
-        let e_opt = report.max_figure_err_for(100, "optimistic");
-        let e_ewma = report.max_figure_err_for(100, "ewma");
-        assert!((e_opt - 0.02).abs() < 1e-9, "{e_opt}");
-        assert!(e_ewma < 1e-12, "{e_ewma}");
-        assert!((report.max_figure_err(100) - 0.02).abs() < 1e-9, "max spans estimators");
-        assert_eq!(report.recommend(0.01), Some((100, "ewma")), "best estimator wins");
-        let table = report.human_table();
-        assert!(table.contains("ewma") && table.contains("optimistic"), "{table}");
-        // The estimator axis round-trips through the JSON-lines form.
-        let back = FidelityReport::parse_json_lines(&report.to_json_lines()).expect("parse");
+    fn historical_optimistic_rows_are_skipped_on_parse() {
+        let report = tiny_suite().assemble(&tiny_results());
+        let text = report.to_json_lines();
+        // Reports from the estimator-axis era label every row; their
+        // optimistic rows (here: a doctored copy of every cell and figure
+        // line) must not merge into the ewma cells.
+        let mut old = String::new();
+        for line in text.lines() {
+            match line.strip_suffix('}') {
+                Some(body) if !line.contains("\"type\":\"meta\"") => {
+                    old.push_str(&format!("{body},\"estimator\":\"ewma\"}}\n"));
+                    old.push_str(&format!("{body},\"estimator\":\"optimistic\"}}\n"));
+                }
+                _ => old.push_str(&format!("{line}\n")),
+            }
+        }
+        let back = FidelityReport::parse_json_lines(&old).expect("parse");
         assert_eq!(back, report);
     }
 

@@ -44,52 +44,43 @@ fn parallel_engine_worker_count_invariance() {
     }
 }
 
-/// `sync_every` (the ewma learned-state sync cadence) is inert under the
-/// `Optimistic` estimator — no sync ever runs there, so results must be
-/// byte-identical for any cadence — and under `Ewma` every cadence keeps
-/// the worker-count byte-invariance contract.
+/// Every `sync_every` (the learned-state sync cadence) keeps the
+/// worker-count byte-invariance contract.
 #[test]
-fn sync_every_is_inert_under_optimistic_and_deterministic_under_ewma() {
-    use garibaldi_sim::EstimatorKind;
+fn sync_every_is_deterministic_at_every_cadence() {
     let s = ExperimentScale::smoke();
     let scheme = LlcScheme::mockingjay_garibaldi();
-    let at = |estimator, sync_every, workers| {
+    let at = |sync_every, workers| {
         runner(42, scheme.clone(), s.cores).run_parallel(
             s.records_per_core,
             s.warmup_per_core,
-            &EngineConfig { estimator, sync_every, workers, ..EngineConfig::default() },
+            &EngineConfig { sync_every, workers, ..EngineConfig::default() },
         )
     };
-    let opt_base = at(EstimatorKind::Optimistic, 1, 1);
-    for k in [2usize, 7, 1000] {
-        assert_eq!(opt_base, at(EstimatorKind::Optimistic, k, 1), "optimistic moved at k={k}");
-    }
     for k in [1usize, 4, 16] {
-        let base = at(EstimatorKind::Ewma, k, 1);
+        let base = at(k, 1);
         for workers in [2, 4] {
-            assert_eq!(base, at(EstimatorKind::Ewma, k, workers), "ewma k={k} workers={workers}");
+            assert_eq!(base, at(k, workers), "k={k} workers={workers}");
         }
     }
-    // The knob is actually wired: under ewma the engine reports one sync
-    // per barrier at k=1 and none at a cadence longer than the run, while
-    // under optimistic it never syncs at any cadence. (Smoke-scale runs
+    // The knob is actually wired: the engine reports one sync per barrier
+    // at k=1 and none at a cadence longer than the run. (Smoke-scale runs
     // are too short for the cadence to move figure metrics — the fidelity
     // suite measures that at scale — so the wiring check reads the
     // engine's own account instead of asserting metric movement.)
-    let syncs = |estimator, sync_every| {
+    let syncs = |sync_every| {
         let (_, stats) = runner(42, scheme.clone(), s.cores).run_parallel_stats(
             s.records_per_core,
             s.warmup_per_core,
-            &EngineConfig { estimator, sync_every, ..EngineConfig::default() },
+            &EngineConfig { sync_every, ..EngineConfig::default() },
         );
         (stats.learned_syncs, stats.barriers)
     };
-    let (s1, barriers) = syncs(EstimatorKind::Ewma, 1);
-    assert_eq!(s1, barriers, "ewma k=1 syncs at every barrier");
-    assert_eq!(syncs(EstimatorKind::Ewma, 1_000_000).0, 0, "cadence beyond run ⇒ no sync");
-    let (s3, barriers3) = syncs(EstimatorKind::Ewma, 3);
+    let (s1, barriers) = syncs(1);
+    assert_eq!(s1, barriers, "k=1 syncs at every barrier");
+    assert_eq!(syncs(1_000_000).0, 0, "cadence beyond run ⇒ no sync");
+    let (s3, barriers3) = syncs(3);
     assert_eq!(s3, barriers3 / 3, "every third barrier syncs");
-    assert_eq!(syncs(EstimatorKind::Optimistic, 1).0, 0, "optimistic never syncs");
 }
 
 /// Async training keeps every determinism contract: byte-identical
@@ -102,11 +93,10 @@ fn sync_every_is_inert_under_optimistic_and_deterministic_under_ewma() {
 /// install barrier.
 #[test]
 fn async_training_is_deterministic_and_publishes_one_barrier_late() {
-    use garibaldi_sim::{EstimatorKind, TrainMode};
+    use garibaldi_sim::TrainMode;
     let s = ExperimentScale::smoke();
     let scheme = LlcScheme::mockingjay_garibaldi();
     let eng = |workers, sync_every, train_mode| EngineConfig {
-        estimator: EstimatorKind::Ewma,
         sync_every,
         workers,
         train_mode,
@@ -145,7 +135,7 @@ fn async_training_is_deterministic_and_publishes_one_barrier_late() {
     let async_ = stats(TrainMode::Async);
     assert_eq!(sync.publish_lag, 0, "sync mode installs at the exporting barrier");
     assert_eq!(async_.publish_lag, async_.learned_syncs, "async lags one barrier per sync");
-    assert!(async_.learned_syncs > 0, "ewma k=1 must sync at smoke scale");
+    assert!(async_.learned_syncs > 0, "k=1 must sync at smoke scale");
     assert!(
         sync.learned_syncs - async_.learned_syncs <= 1,
         "deferral may only drop the final in-flight sync (sync {} vs async {})",

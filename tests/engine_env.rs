@@ -5,8 +5,8 @@
 //! other test binaries never read these variables while this one runs.
 
 use garibaldi_sim::{
-    EngineChoice, EngineConfig, EstimatorKind, ExperimentScale, LlcScheme, RunResult, SimRunner,
-    SystemConfig, TrainMode,
+    EngineChoice, EngineConfig, ExperimentScale, LlcScheme, RunResult, SimRunner, SystemConfig,
+    TrainMode,
 };
 use garibaldi_trace::WorkloadMix;
 use std::sync::Mutex;
@@ -85,44 +85,17 @@ fn engine_parallel_forces_parallel_engine() {
     assert_ne!(serial, reference, "engines must be distinguishable at smoke scale");
 }
 
-/// `GARIBALDI_ESTIMATOR` alone selects the parallel engine with that
-/// estimator (precedence step 2: the estimator is a parallel-engine
-/// model axis) — and reproduces the explicitly configured run exactly.
-#[test]
-fn estimator_alone_selects_parallel_with_that_estimator() {
-    let r = runner();
-    let s = ExperimentScale::smoke();
-    let eng = EngineConfig { estimator: EstimatorKind::Ewma, ..Default::default() };
-    let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
-    let forced = with_env(&[("GARIBALDI_ESTIMATOR", "ewma")], || smoke_run(&r));
-    assert_eq!(reference, forced);
-    // The estimator is a *model* axis: at smoke scale the ewma run must
-    // differ from the optimistic default (otherwise the test proves
-    // nothing about which estimator actually ran).
-    let optimistic =
-        r.run_parallel(s.records_per_core, s.warmup_per_core, &EngineConfig::default());
-    assert_ne!(optimistic, reference, "estimators must be distinguishable at smoke scale");
-    // `GARIBALDI_ENGINE=serial` still wins over the estimator
-    // (precedence step 1).
-    let serial_forced =
-        with_env(&[("GARIBALDI_ENGINE", "serial"), ("GARIBALDI_ESTIMATOR", "ewma")], || {
-            smoke_run(&r)
-        });
-    assert_eq!(serial_forced, r.run_serial(s.records_per_core, s.warmup_per_core));
-}
-
 /// `GARIBALDI_SYNC_EVERY` overrides the learned-sync cadence of an
 /// env-selected parallel engine and reproduces the explicitly configured
-/// run exactly; under the ewma profile the cadence is a real model knob.
+/// run exactly.
 #[test]
 fn sync_every_env_overrides_the_cadence() {
     let r = runner();
     let s = ExperimentScale::smoke();
-    let eng =
-        EngineConfig { estimator: EstimatorKind::Ewma, sync_every: 3, ..EngineConfig::default() };
+    let eng = EngineConfig { sync_every: 3, ..EngineConfig::default() };
     let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
     let forced =
-        with_env(&[("GARIBALDI_ESTIMATOR", "ewma"), ("GARIBALDI_SYNC_EVERY", "3")], || {
+        with_env(&[("GARIBALDI_ENGINE", "parallel"), ("GARIBALDI_SYNC_EVERY", "3")], || {
             smoke_run(&r)
         });
     assert_eq!(reference, forced);
@@ -144,16 +117,12 @@ fn sync_every_env_overrides_the_cadence() {
 fn train_mode_env_overrides_the_mode() {
     let r = runner();
     let s = ExperimentScale::smoke();
-    let eng = EngineConfig {
-        estimator: EstimatorKind::Ewma,
-        sync_every: 1,
-        train_mode: TrainMode::Async,
-        ..EngineConfig::default()
-    };
+    let eng =
+        EngineConfig { sync_every: 1, train_mode: TrainMode::Async, ..EngineConfig::default() };
     let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
     let forced = with_env(
         &[
-            ("GARIBALDI_ESTIMATOR", "ewma"),
+            ("GARIBALDI_ENGINE", "parallel"),
             ("GARIBALDI_SYNC_EVERY", "1"),
             ("GARIBALDI_TRAIN_MODE", "async"),
         ],
@@ -162,17 +131,17 @@ fn train_mode_env_overrides_the_mode() {
     assert_eq!(reference, forced);
     // The env-built config really carries the async mode…
     let choice =
-        with_env(&[("GARIBALDI_ESTIMATOR", "ewma"), ("GARIBALDI_TRAIN_MODE", "async")], || {
+        with_env(&[("GARIBALDI_ENGINE", "parallel"), ("GARIBALDI_TRAIN_MODE", "async")], || {
             EngineChoice::from_env_or(EngineChoice::Serial)
         });
     match choice {
         EngineChoice::Parallel(c) => assert_eq!(c.train_mode, TrainMode::Async),
-        EngineChoice::Serial => panic!("estimator + train mode must select the parallel engine"),
+        EngineChoice::Serial => panic!("GARIBALDI_ENGINE=parallel must select the parallel engine"),
     }
     // …and the async schedule really ran: syncs published one barrier
     // late, where the sync mode's lag is identically zero.
     let (_, st) = r.run_parallel_stats(s.records_per_core, s.warmup_per_core, &eng);
-    assert!(st.learned_syncs > 0, "ewma at sync_every=1 must sync");
+    assert!(st.learned_syncs > 0, "sync_every=1 must sync");
     assert_eq!(st.publish_lag, st.learned_syncs, "async publishes one barrier late per sync");
     let (_, st_sync) = r.run_parallel_stats(
         s.records_per_core,
@@ -232,16 +201,19 @@ fn barrier_timeout_env_is_validated_and_result_invisible() {
 }
 
 /// Every malformed value fails loudly instead of silently selecting an
-/// unintended engine or geometry.
+/// unintended engine or geometry — and so does the removed
+/// `GARIBALDI_ESTIMATOR`, even at its once-valid `ewma`, which used to
+/// select the parallel engine on its own.
 #[test]
 fn malformed_values_panic_with_the_variable_name() {
-    let cases: [(&str, &str); 9] = [
+    let cases: [(&str, &str); 10] = [
         ("GARIBALDI_ENGINE", "turbo"),
         ("GARIBALDI_WORKERS", "0"),
         ("GARIBALDI_WORKERS", "banana"),
         ("GARIBALDI_SHARDS", "-1"),
         ("GARIBALDI_EPOCH", "99999999999999999999999999"),
         ("GARIBALDI_ESTIMATOR", "psychic"),
+        ("GARIBALDI_ESTIMATOR", "ewma"),
         ("GARIBALDI_SYNC_EVERY", "0"),
         ("GARIBALDI_SYNC_EVERY", "sometimes"),
         ("GARIBALDI_TRAIN_MODE", "eventually"),

@@ -13,12 +13,12 @@
 //!    `epoch_cycles` (plus any `GARIBALDI_FIDELITY_EPOCH` off-default
 //!    point, which the CI `fidelity-gate` job exercises) must keep every
 //!    figure-level geomean within the hard gate of the serial goldens.
+//! 3. **Parallel golden** — the parallel engine's default-geometry block
+//!    is committed next to the serial one and must be reproduced exactly.
 
 use garibaldi_sim::experiment::run_mix_on;
 use garibaldi_sim::fidelity::{FidelityJob, FidelitySuite};
-use garibaldi_sim::{
-    checkpoint, EngineConfig, EstimatorKind, ExperimentScale, RunResult, TrainMode,
-};
+use garibaldi_sim::{checkpoint, EngineConfig, ExperimentScale, RunResult, TrainMode};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -36,10 +36,10 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fidelity_baselines.jsonl")
 }
 
-/// The gate suite over an explicit estimator axis: a trimmed
-/// mini-fig11/fig12 at a gate-sized scale — large enough that the default
-/// epoch window fits several times into a run, small enough for tier-1.
-fn gate_suite_with(estimators: Vec<EstimatorKind>) -> FidelitySuite {
+/// The gate suite: a trimmed mini-fig11/fig12 at a gate-sized scale —
+/// large enough that the default epoch window fits several times into a
+/// run, small enough for tier-1.
+fn gate_suite() -> FidelitySuite {
     let scale = ExperimentScale {
         factor: 0.25,
         cores: 4,
@@ -55,8 +55,7 @@ fn gate_suite_with(estimators: Vec<EstimatorKind>) -> FidelitySuite {
         }
     }
     let mut suite = FidelitySuite::paper_figures(scale, 1, &["tpcc", "twitter"], grid);
-    suite.estimators = estimators;
-    // The sync_every axis (ewma learned-state sync cadence): default from
+    // The sync_every axis (learned-state sync cadence): default from
     // the engine config; `GARIBALDI_SYNC_EVERY` overrides so manual
     // sweeps can gate an off-default cadence too.
     if let Some(k) = garibaldi_sim::config::env_positive("GARIBALDI_SYNC_EVERY") {
@@ -75,21 +74,6 @@ fn gate_suite_with(estimators: Vec<EstimatorKind>) -> FidelitySuite {
         suite.train_mode = m;
     }
     suite
-}
-
-/// The tolerance-gate suite: every estimator by default, or just the one
-/// `GARIBALDI_ESTIMATOR` names (the CI fidelity matrix runs one leg per
-/// estimator).
-fn gate_suite() -> FidelitySuite {
-    let est = EstimatorKind::parse(
-        "GARIBALDI_ESTIMATOR",
-        std::env::var("GARIBALDI_ESTIMATOR").ok().as_deref(),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    gate_suite_with(match est {
-        Some(k) => vec![k],
-        None => EstimatorKind::ALL.to_vec(),
-    })
 }
 
 fn run_jobs(suite: &FidelitySuite, jobs: &[FidelityJob]) -> Vec<RunResult> {
@@ -121,16 +105,14 @@ fn load_goldens() -> HashMap<String, RunResult> {
 /// The serial engine still reproduces its committed golden metrics.
 ///
 /// The bless run (`GARIBALDI_BLESS=1`) also regenerates the
-/// parallel-engine block at the default `epoch_cycles` with the `Ewma`
-/// estimator — the exact-match baselines
-/// `ewma_parallel_matches_golden_baselines` gates on.
+/// parallel-engine block at the default `epoch_cycles` — the exact-match
+/// baselines `ewma_parallel_matches_golden_baselines` gates on.
 #[test]
 fn serial_engine_matches_golden_baselines() {
-    // Estimator axis pinned to Ewma and train mode pinned to Sync: the
-    // serial block is independent of both, and the blessed parallel block
-    // must always be the (default epoch, Ewma, sync) one, whatever
-    // GARIBALDI_ESTIMATOR / GARIBALDI_TRAIN_MODE say.
-    let mut suite = gate_suite_with(vec![EstimatorKind::Ewma]);
+    // Train mode pinned to Sync: the serial block is independent of it,
+    // and the blessed parallel block must always be the (default epoch,
+    // sync) one, whatever GARIBALDI_TRAIN_MODE says.
+    let mut suite = gate_suite();
     suite.train_mode = TrainMode::Sync;
     let jobs = suite.jobs();
     let serial_jobs = &jobs[..suite.points.len()];
@@ -179,20 +161,19 @@ fn serial_engine_matches_golden_baselines() {
     }
 }
 
-/// The `Ewma` estimator reproduces the committed parallel-engine results
-/// exactly — every serialized field — at the default epoch window, shard
-/// count and `sync_every`: a refactor must never silently change the
-/// parallel engine's simulated results.
+/// The parallel engine reproduces its committed results exactly — every
+/// serialized field — at the default epoch window, shard count and
+/// `sync_every`: a refactor must never silently change the parallel
+/// engine's simulated results.
 #[test]
 fn ewma_parallel_matches_golden_baselines() {
     if std::env::var("GARIBALDI_BLESS").as_deref() == Ok("1") {
         return; // blessing run: baselines are being rewritten.
     }
-    // Pinned to Ewma and sync training regardless of
-    // GARIBALDI_ESTIMATOR / GARIBALDI_TRAIN_MODE: this test is the
-    // bit-compatibility backstop, so it must run the (Ewma, sync) block
-    // even on the CI async-train matrix leg.
-    let mut suite = gate_suite_with(vec![EstimatorKind::Ewma]);
+    // Pinned to sync training regardless of GARIBALDI_TRAIN_MODE: this
+    // test is the bit-compatibility backstop, so it must run the sync
+    // block even on the CI async-train leg.
+    let mut suite = gate_suite();
     suite.train_mode = TrainMode::Sync;
     let jobs = suite.jobs();
     let n = suite.points.len();
