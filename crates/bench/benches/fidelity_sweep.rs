@@ -38,10 +38,8 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|| vec![5_000, 20_000, 50_000, 100_000, 250_000]);
-    let n_mixes: usize =
-        std::env::var("GARIBALDI_FID_MIXES").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
-    let n_workloads: usize =
-        std::env::var("GARIBALDI_FID_WORKLOADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
+    let n_mixes = garibaldi_sim::config::env_positive("GARIBALDI_FID_MIXES").unwrap_or(3);
+    let n_workloads = garibaldi_sim::config::env_positive("GARIBALDI_FID_WORKLOADS").unwrap_or(4);
     let workloads: Vec<&str> =
         ["tpcc", "twitter", "kafka", "verilator", "tomcat", "cassandra", "voter", "dotty"]
             .into_iter()

@@ -15,8 +15,7 @@ use garibaldi_trace::random_server_mixes;
 fn main() {
     let scale = ExperimentScale::from_env();
     println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
-    let n_mixes: usize =
-        std::env::var("GARIBALDI_MIXES").ok().and_then(|v| v.parse().ok()).unwrap_or(20);
+    let n_mixes = garibaldi_sim::config::env_positive("GARIBALDI_MIXES").unwrap_or(20);
     let mixes = random_server_mixes(n_mixes, scale.cores, 77);
 
     let schemes = [

@@ -23,8 +23,7 @@ fn garibaldi_with(f: impl FnOnce(&mut GaribaldiConfig)) -> LlcScheme {
 fn main() {
     let scale = ExperimentScale::from_env();
     println!("[engine] {} (GARIBALDI_ENGINE=serial for the min-clock reference)", engine_tag());
-    let n_mixes: usize =
-        std::env::var("GARIBALDI_MIXES").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
+    let n_mixes = garibaldi_sim::config::env_positive("GARIBALDI_MIXES").unwrap_or(8);
     let mixes = random_server_mixes(n_mixes, scale.cores, 99);
 
     // (label, scheme, partition_ways)

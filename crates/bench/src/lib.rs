@@ -11,12 +11,12 @@
 //!
 //! Engine: since the fidelity study (`docs/fidelity/`, ARCHITECTURE.md
 //! §"Fidelity") every figure target defaults to the **epoch-sharded
-//! parallel engine** at the validated default `epoch_cycles`, with
-//! `GARIBALDI_INNER_WORKERS` threads per run.
-//! `GARIBALDI_ENGINE=serial` is the escape hatch back to the serial
-//! min-clock reference; `GARIBALDI_WORKERS` / `GARIBALDI_SHARDS` /
-//! `GARIBALDI_EPOCH` / `GARIBALDI_SYNC_EVERY` / `GARIBALDI_TRAIN_MODE`
-//! override the geometry (see [`bench_engine`]).
+//! parallel engine** at the validated default geometry, one worker thread
+//! per run. `GARIBALDI_ENGINE=serial` is the escape hatch back to the
+//! serial min-clock reference; `GARIBALDI_WORKERS` sets the worker threads
+//! per run (and [`parallel_runs`] shrinks its pool to match), and
+//! `GARIBALDI_SYNC_EVERY` / `GARIBALDI_TRAIN_MODE` override the learned
+//! sync (see [`bench_engine`]).
 
 #![warn(missing_docs)]
 
@@ -32,26 +32,11 @@ pub use garibaldi_sim::{
 /// The engine every bench run uses: [`EngineChoice::from_env_or`] with a
 /// **parallel** default — [`EngineConfig::default`] geometry (the
 /// fidelity-validated `epoch_cycles` and `sync_every`, see
-/// `docs/fidelity/`) and [`inner_workers`] threads per run. Set
-/// `GARIBALDI_ENGINE=serial` for the serial reference engine.
+/// `docs/fidelity/`) and one worker thread per run unless
+/// `GARIBALDI_WORKERS` says otherwise. Set `GARIBALDI_ENGINE=serial` for
+/// the serial reference engine.
 pub fn bench_engine() -> EngineChoice {
-    let default = EngineConfig { workers: inner_workers(), ..EngineConfig::default() };
-    EngineChoice::from_env_or(EngineChoice::Parallel(default))
-}
-
-/// Per-run worker threads from `GARIBALDI_INNER_WORKERS` (default 1).
-/// This feeds [`bench_engine`]'s default geometry; note `GARIBALDI_WORKERS`
-/// (when set) overrides it at engine resolution, and [`parallel_runs`]
-/// divides the outer job pool by the *resolved* per-run thread count —
-/// whichever variable won — so outer jobs × engine workers never
-/// oversubscribes the host.
-///
-/// # Panics
-///
-/// Panics on an invalid value (0, garbage, overflow) — a typo must not
-/// silently serialize the sweep.
-pub fn inner_workers() -> usize {
-    garibaldi_sim::config::env_positive("GARIBALDI_INNER_WORKERS").unwrap_or(1)
+    EngineChoice::from_env_or(EngineChoice::Parallel(EngineConfig::default()))
 }
 
 /// Threads each bench run will actually use under the resolved engine
@@ -65,10 +50,11 @@ pub fn per_run_threads() -> usize {
 }
 
 /// Identity of the simulation model the benches run under — `"serial"` or
-/// `"sharded-s<shards>-e<epoch>"` (see [`EngineChoice::tag`]). Worker
-/// count is *not* part of the identity (it never changes results); shard
-/// count and epoch window are. Embed this in checkpoint keys so rows
-/// produced under different engines are never silently mixed.
+/// `"sharded-s<shards>-e<epoch>-ewma…"` (see [`EngineChoice::tag`]).
+/// Worker count is *not* part of the identity (it never changes results);
+/// the learned-sync cadence and train mode are. Embed this in checkpoint
+/// keys so rows produced under different engines are never silently
+/// mixed.
 pub fn engine_tag() -> String {
     bench_engine().tag()
 }
@@ -159,9 +145,8 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// returns their results in input order.
 ///
 /// The outer pool is divided by [`per_run_threads`] — the thread count of
-/// the engine the environment actually resolves to, whether it came from
-/// `GARIBALDI_INNER_WORKERS` or a winning `GARIBALDI_WORKERS` — so
-/// outer × inner never oversubscribes the host. Use
+/// the engine the environment actually resolves to (`GARIBALDI_WORKERS`,
+/// default 1) — so outer × inner never oversubscribes the host. Use
 /// [`parallel_runs_inner`] to pass the divisor explicitly.
 pub fn parallel_runs<T, F>(jobs: Vec<F>) -> Vec<T>
 where
@@ -292,7 +277,7 @@ mod tests {
     use super::*;
 
     /// Serializes tests that read or mutate the engine environment
-    /// variables (`parallel_runs`, [`inner_workers`], [`bench_engine`]) so
+    /// variables (`parallel_runs`, [`bench_engine`]) so
     /// env-mutating cases cannot race env-reading ones.
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -308,11 +293,8 @@ mod tests {
         let vars = [
             "GARIBALDI_ENGINE",
             "GARIBALDI_WORKERS",
-            "GARIBALDI_SHARDS",
-            "GARIBALDI_EPOCH",
             "GARIBALDI_SYNC_EVERY",
             "GARIBALDI_TRAIN_MODE",
-            "GARIBALDI_INNER_WORKERS",
         ];
         let saved: Vec<_> = vars.iter().map(|v| (*v, std::env::var(v).ok())).collect();
         for v in vars {
@@ -338,22 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_workers_defaults_and_rejects_garbage() {
-        with_clean_env(|| {
-            assert_eq!(inner_workers(), 1, "unset → documented default of 1");
-            std::env::set_var("GARIBALDI_INNER_WORKERS", "3");
-            assert_eq!(inner_workers(), 3);
-            for bad in ["0", "many", "9999999999999999999999"] {
-                std::env::set_var("GARIBALDI_INNER_WORKERS", bad);
-                let err = std::panic::catch_unwind(inner_workers)
-                    .expect_err("invalid GARIBALDI_INNER_WORKERS must fail loudly");
-                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-                assert!(msg.contains("GARIBALDI_INNER_WORKERS"), "names the variable: {msg:?}");
-            }
-        });
-    }
-
-    #[test]
     fn bench_engine_defaults_to_parallel_with_serial_escape_hatch() {
         with_clean_env(|| {
             match bench_engine() {
@@ -362,13 +328,16 @@ mod tests {
                 }
                 EngineChoice::Serial => panic!("benches must default to the parallel engine"),
             }
-            std::env::set_var("GARIBALDI_INNER_WORKERS", "2");
+            assert_eq!(per_run_threads(), 1, "one thread per run by default");
+            // GARIBALDI_WORKERS sets the engine workers and the pool divisor.
+            std::env::set_var("GARIBALDI_WORKERS", "2");
             match bench_engine() {
                 EngineChoice::Parallel(c) => {
-                    assert_eq!(c.workers, 2, "inner workers feed the engine");
+                    assert_eq!(c, EngineConfig::with_workers(2), "workers feed the engine");
                 }
                 EngineChoice::Serial => panic!("still parallel"),
             }
+            assert_eq!(per_run_threads(), 2, "workers divide the outer pool");
             std::env::set_var("GARIBALDI_ENGINE", "serial");
             assert_eq!(bench_engine(), EngineChoice::Serial, "the documented escape hatch");
             assert_eq!(engine_tag(), "serial");

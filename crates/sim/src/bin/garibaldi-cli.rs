@@ -18,8 +18,7 @@
 //!   --partition N            reserve N LLC ways for instruction lines
 //!   --workers N              run on the epoch-sharded parallel engine with
 //!                            N worker threads (0 = serial engine; default)
-//!   --shards N               LLC shard count for the parallel engine (8)
-//!   --epoch N                epoch window in cycles (20000)
+//!   --epoch N                epoch window in cycles (default 20000; ≥ 1)
 //!   --sync-every K           run the learned-state sync every K epoch
 //!                            barriers (default 8, the validated cadence;
 //!                            1 syncs at every barrier; like
@@ -89,7 +88,6 @@ struct Args {
     oracle: bool,
     partition: usize,
     workers: usize,
-    shards: usize,
     epoch: u64,
     sync_every: usize,
     train_mode: TrainMode,
@@ -113,7 +111,6 @@ fn parse_args() -> Result<Args, String> {
         oracle: false,
         partition: 0,
         workers: 0,
-        shards: defaults.llc_shards,
         epoch: defaults.epoch_cycles,
         sync_every: defaults.sync_every,
         train_mode: defaults.train_mode,
@@ -141,8 +138,10 @@ fn parse_args() -> Result<Args, String> {
                 a.partition = val("--partition")?.parse().map_err(|e| format!("{e}"))?
             }
             "--workers" => a.workers = val("--workers")?.parse().map_err(|e| format!("{e}"))?,
-            "--shards" => a.shards = val("--shards")?.parse().map_err(|e| format!("{e}"))?,
-            "--epoch" => a.epoch = val("--epoch")?.parse().map_err(|e| format!("{e}"))?,
+            "--epoch" => {
+                a.epoch = garibaldi_sim::config::parse_positive("--epoch", Some(&val("--epoch")?))?
+                    .expect("value present") as u64;
+            }
             "--sync-every" => {
                 a.sync_every = garibaldi_sim::config::parse_positive(
                     "--sync-every",
@@ -300,7 +299,6 @@ fn main() {
     let eng = EngineConfig {
         workers: args.workers.max(1),
         epoch_cycles: args.epoch,
-        llc_shards: args.shards,
         sync_every: args.sync_every,
         train_mode: args.train_mode,
         ..EngineConfig::default()

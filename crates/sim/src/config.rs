@@ -336,79 +336,53 @@ impl EngineChoice {
     ///    parallel engine.
     /// 2. `GARIBALDI_ENGINE` unset but `GARIBALDI_WORKERS` set: parallel
     ///    (the forcing mechanism the CI matrix leg uses).
-    /// 3. Nothing set: `default`. (`GARIBALDI_INNER_WORKERS` ranks below
-    ///    all of the above: it never selects an engine — it only feeds the
-    ///    bench harness's default parallel geometry, and a resolved
-    ///    `GARIBALDI_WORKERS` overrides it; see
-    ///    `garibaldi_bench::inner_workers`.)
+    /// 3. Nothing set: `default`.
     ///
-    /// Whenever the outcome is parallel, its geometry starts from the
+    /// Whenever the outcome is parallel, its configuration starts from the
     /// caller's `default` when that is parallel (else
     /// [`EngineConfig::default`]) and each of `GARIBALDI_WORKERS` /
-    /// `GARIBALDI_SHARDS` / `GARIBALDI_EPOCH` / `GARIBALDI_SYNC_EVERY` /
-    /// `GARIBALDI_TRAIN_MODE` that is set overrides its field — so e.g.
-    /// `GARIBALDI_EPOCH=5000` alone re-windows a bench run (the benches
-    /// default to parallel). When the outcome is serial, the geometry
-    /// variables have nothing to configure and are only validated.
+    /// `GARIBALDI_SYNC_EVERY` / `GARIBALDI_TRAIN_MODE` that is set
+    /// overrides its field. When the outcome is serial, these variables
+    /// have nothing to configure and are only validated. The epoch window
+    /// and the LLC shard count are not settable from the environment.
     ///
-    /// `GARIBALDI_ESTIMATOR` is read only to reject it: it once selected
-    /// the parallel engine on its own, so silently ignoring it would
-    /// quietly run the serial engine instead.
+    /// The retired `GARIBALDI_ESTIMATOR`, `GARIBALDI_SHARDS`,
+    /// `GARIBALDI_EPOCH` and `GARIBALDI_INNER_WORKERS` are read only to
+    /// reject them: silently ignoring one would quietly run a different
+    /// engine or geometry than the caller asked for.
     ///
     /// # Panics
     ///
     /// Panics with a clear message on malformed values (unknown engine or
-    /// train-mode name, zero/garbage/overflowing counts, any
-    /// `GARIBALDI_ESTIMATOR`) —
-    /// misconfiguration must never silently select a different engine
-    /// than intended. The pure, unit-tested resolution is
-    /// [`EngineChoice::resolve`].
+    /// train-mode name, zero/garbage/overflowing counts) and on any
+    /// retired variable — misconfiguration must never silently select a
+    /// different engine than intended. The pure, unit-tested resolution
+    /// is [`EngineChoice::resolve`].
     pub fn from_env_or(default: Self) -> Self {
-        Self::resolve(
-            env_raw("GARIBALDI_ENGINE").as_deref(),
-            env_raw("GARIBALDI_WORKERS").as_deref(),
-            env_raw("GARIBALDI_SHARDS").as_deref(),
-            env_raw("GARIBALDI_EPOCH").as_deref(),
-            env_raw("GARIBALDI_ESTIMATOR").as_deref(),
-            env_raw("GARIBALDI_SYNC_EVERY").as_deref(),
-            env_raw("GARIBALDI_TRAIN_MODE").as_deref(),
-            default,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
+        Self::resolve(env_raw, default).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Pure form of [`EngineChoice::from_env_or`] over raw variable values.
+    /// Pure form of [`EngineChoice::from_env_or`] over a variable lookup:
+    /// `var(name)` is the raw value of `name`, `None` when unset.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending variable and value for an
     /// unknown engine or train-mode name or an invalid count, and one
-    /// naming `GARIBALDI_ESTIMATOR` as removed whenever it is set.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve(
-        engine: Option<&str>,
-        workers: Option<&str>,
-        shards: Option<&str>,
-        epoch: Option<&str>,
-        estimator: Option<&str>,
-        sync_every: Option<&str>,
-        train_mode: Option<&str>,
-        default: Self,
-    ) -> Result<Self, String> {
-        if let Some(raw) = estimator {
-            return Err(format!(
-                "GARIBALDI_ESTIMATOR has been removed (got {raw:?}): ewma is the parallel \
-                 engine's only issue-latency model; unset it, and select the parallel engine \
-                 with GARIBALDI_ENGINE=parallel or GARIBALDI_WORKERS"
-            ));
+    /// naming a retired variable as removed whenever it is set.
+    pub fn resolve(var: impl Fn(&str) -> Option<String>, default: Self) -> Result<Self, String> {
+        for (name, instead) in REMOVED_VARS {
+            if let Some(raw) = var(name) {
+                return Err(format!("{name} has been removed (got {raw:?}): {instead}"));
+            }
         }
-        let workers = parse_positive("GARIBALDI_WORKERS", workers)?;
-        let shards = parse_positive("GARIBALDI_SHARDS", shards)?;
-        let epoch = parse_positive("GARIBALDI_EPOCH", epoch)?;
-        let sync_every = parse_positive("GARIBALDI_SYNC_EVERY", sync_every)?;
-        let train_mode = TrainMode::parse("GARIBALDI_TRAIN_MODE", train_mode)?;
-        // Which engine, and from which base geometry?
-        let base = match engine.map(str::trim) {
+        let workers = parse_positive("GARIBALDI_WORKERS", var("GARIBALDI_WORKERS").as_deref())?;
+        let sync_every =
+            parse_positive("GARIBALDI_SYNC_EVERY", var("GARIBALDI_SYNC_EVERY").as_deref())?;
+        let train_mode =
+            TrainMode::parse("GARIBALDI_TRAIN_MODE", var("GARIBALDI_TRAIN_MODE").as_deref())?;
+        // Which engine, and from which base configuration?
+        let base = match var("GARIBALDI_ENGINE").as_deref().map(str::trim) {
             Some("serial") => return Ok(Self::Serial),
             Some("parallel" | "sharded") => Some(default),
             Some(other) => {
@@ -418,8 +392,8 @@ impl EngineChoice {
             }
             None if workers.is_some() => Some(default),
             None => match default {
-                // A parallel default still takes the geometry overrides
-                // below (the benches' documented contract).
+                // A parallel default still takes the overrides below (the
+                // benches' documented contract).
                 Self::Parallel(_) => Some(default),
                 Self::Serial => None,
             },
@@ -433,12 +407,6 @@ impl EngineChoice {
         };
         if let Some(w) = workers {
             cfg.workers = w;
-        }
-        if let Some(s) = shards {
-            cfg.llc_shards = s;
-        }
-        if let Some(e) = epoch {
-            cfg.epoch_cycles = e as u64;
         }
         if let Some(k) = sync_every {
             cfg.sync_every = k;
@@ -476,6 +444,28 @@ impl EngineChoice {
         }
     }
 }
+
+/// Environment variables that once configured the engine or the bench
+/// harness, each with what to do instead. [`EngineChoice::resolve`]
+/// rejects every one that is set, naming it as removed.
+const REMOVED_VARS: [(&str, &str); 4] = [
+    (
+        "GARIBALDI_ESTIMATOR",
+        "ewma is the parallel engine's only issue-latency model; unset it, and select the \
+         parallel engine with GARIBALDI_ENGINE=parallel or GARIBALDI_WORKERS",
+    ),
+    ("GARIBALDI_SHARDS", "the parallel engine always runs the default LLC shard count; unset it"),
+    (
+        "GARIBALDI_EPOCH",
+        "the parallel engine always runs the default epoch window; unset it (the fidelity \
+         gate's off-default window is GARIBALDI_FIDELITY_EPOCH)",
+    ),
+    (
+        "GARIBALDI_INNER_WORKERS",
+        "GARIBALDI_WORKERS sets both the per-run engine workers and the bench pool divisor; \
+         unset it",
+    ),
+];
 
 /// Parses an env-var value as a positive count. `Ok(None)` when unset.
 ///
@@ -583,17 +573,8 @@ mod tests {
 
     /// [`EngineChoice::resolve`] over `(variable, value)` pairs.
     fn resolve(vars: &[(&str, &str)], default: EngineChoice) -> Result<EngineChoice, String> {
-        let get = |name: &str| vars.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
-        EngineChoice::resolve(
-            get("GARIBALDI_ENGINE"),
-            get("GARIBALDI_WORKERS"),
-            get("GARIBALDI_SHARDS"),
-            get("GARIBALDI_EPOCH"),
-            get("GARIBALDI_ESTIMATOR"),
-            get("GARIBALDI_SYNC_EVERY"),
-            get("GARIBALDI_TRAIN_MODE"),
-            default,
-        )
+        let get = |name: &str| vars.iter().find(|(k, _)| *k == name).map(|&(_, v)| v.to_string());
+        EngineChoice::resolve(get, default)
     }
 
     fn parallel(choice: EngineChoice) -> EngineConfig {
@@ -624,26 +605,20 @@ mod tests {
             llc_shards: 4,
             ..EngineConfig::default()
         });
-        let vars = [("GARIBALDI_ENGINE", "parallel"), ("GARIBALDI_EPOCH", "123")];
+        let vars = [("GARIBALDI_ENGINE", "parallel"), ("GARIBALDI_SYNC_EVERY", "5")];
         let c = parallel(resolve(&vars, tuned).unwrap());
-        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles), (2, 4, 123));
-        // Geometry overrides also apply when the *default* supplies the
-        // parallel engine (the benches' contract): GARIBALDI_EPOCH alone
-        // re-windows a bench run instead of being silently ignored. The
-        // sync cadence and train mode ride the same rule.
-        let vars = [
-            ("GARIBALDI_SHARDS", "16"),
-            ("GARIBALDI_EPOCH", "123"),
-            ("GARIBALDI_SYNC_EVERY", "3"),
-            ("GARIBALDI_TRAIN_MODE", "async"),
-        ];
+        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles, c.sync_every), (2, 4, 77, 5));
+        // Overrides also apply when the *default* supplies the parallel
+        // engine (the benches' contract): the sync cadence and train mode
+        // re-configure a bench run instead of being silently ignored.
+        let vars = [("GARIBALDI_SYNC_EVERY", "3"), ("GARIBALDI_TRAIN_MODE", "async")];
         let c = parallel(resolve(&vars, tuned).unwrap());
-        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles, c.sync_every), (2, 16, 123, 3));
+        assert_eq!((c.workers, c.llc_shards, c.epoch_cycles, c.sync_every), (2, 4, 77, 3));
         assert_eq!(c.train_mode, TrainMode::Async);
-        // With a serial default, geometry variables and the train mode
-        // alone do not flip the engine — they are parallel-engine axes,
-        // not forcing mechanisms — but they are still validated.
-        assert_eq!(resolve(&[("GARIBALDI_EPOCH", "123")], Serial).unwrap(), Serial);
+        // With a serial default, the sync cadence and train mode alone do
+        // not flip the engine — they are parallel-engine axes, not forcing
+        // mechanisms — but they are still validated.
+        assert_eq!(resolve(&[("GARIBALDI_SYNC_EVERY", "3")], Serial).unwrap(), Serial);
         assert_eq!(resolve(&[("GARIBALDI_TRAIN_MODE", "async")], Serial).unwrap(), Serial);
         // Invalid counts and names propagate whatever the outcome —
         // including under an explicit serial engine (validated, unused).
@@ -660,8 +635,6 @@ mod tests {
                 "GARIBALDI_WORKERS",
                 "18446744073709551616",
             ),
-            (&[("GARIBALDI_WORKERS", "2"), ("GARIBALDI_SHARDS", "0")], "GARIBALDI_SHARDS", "0"),
-            (&[("GARIBALDI_EPOCH", "0")], "GARIBALDI_EPOCH", "0"),
             (
                 &[("GARIBALDI_WORKERS", "2"), ("GARIBALDI_SYNC_EVERY", "0")],
                 "GARIBALDI_SYNC_EVERY",
@@ -678,16 +651,31 @@ mod tests {
             let err = resolve(vars, Serial).unwrap_err();
             assert!(err.contains(var) && err.contains(value), "{vars:?}: {err}");
         }
-        // The removed GARIBALDI_ESTIMATOR is rejected whatever its value
-        // and whatever else is set: it used to select the parallel engine
-        // on its own, so ignoring it would quietly run the serial engine.
-        for vars in [
-            &[("GARIBALDI_ESTIMATOR", "ewma")][..],
-            &[("GARIBALDI_ESTIMATOR", "optimistic"), ("GARIBALDI_WORKERS", "2")],
-            &[("GARIBALDI_ESTIMATOR", ""), ("GARIBALDI_ENGINE", "serial")],
+        // Every removed variable is rejected whatever its value and
+        // whatever else is set, naming itself as removed: ignoring one
+        // would quietly run a different engine or geometry (the estimator
+        // once selected the parallel engine on its own).
+        for (vars, var) in [
+            (&[("GARIBALDI_ESTIMATOR", "ewma")][..], "GARIBALDI_ESTIMATOR"),
+            (
+                &[("GARIBALDI_ESTIMATOR", "optimistic"), ("GARIBALDI_WORKERS", "2")],
+                "GARIBALDI_ESTIMATOR",
+            ),
+            (&[("GARIBALDI_ESTIMATOR", ""), ("GARIBALDI_ENGINE", "serial")], "GARIBALDI_ESTIMATOR"),
+            (&[("GARIBALDI_SHARDS", "8")], "GARIBALDI_SHARDS"),
+            (&[("GARIBALDI_SHARDS", "4"), ("GARIBALDI_ENGINE", "parallel")], "GARIBALDI_SHARDS"),
+            (&[("GARIBALDI_EPOCH", "20000")], "GARIBALDI_EPOCH"),
+            (&[("GARIBALDI_EPOCH", "0"), ("GARIBALDI_ENGINE", "serial")], "GARIBALDI_EPOCH"),
+            (&[("GARIBALDI_INNER_WORKERS", "2")], "GARIBALDI_INNER_WORKERS"),
+            (
+                &[("GARIBALDI_INNER_WORKERS", "2"), ("GARIBALDI_WORKERS", "4")],
+                "GARIBALDI_INNER_WORKERS",
+            ),
         ] {
-            let err = resolve(vars, Serial).unwrap_err();
-            assert!(err.contains("GARIBALDI_ESTIMATOR") && err.contains("removed"), "{err}");
+            for default in [Serial, default_par] {
+                let err = resolve(vars, default).unwrap_err();
+                assert!(err.contains(var) && err.contains("removed"), "{vars:?}: {err}");
+            }
         }
     }
 

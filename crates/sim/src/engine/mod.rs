@@ -103,8 +103,8 @@ struct ShardBuf {
 /// invalidation/correction tail, and `serial` the barrier remainder
 /// (outcome scatter, threshold replay, command routing).
 /// Collection is always on — a handful of `Instant` reads per barrier —
-/// so callers ([`crate::SimRunner::run_parallel_stats`], the perf
-/// snapshot bench) can read it without a profiling env var.
+/// so callers ([`crate::SimRunner::run_parallel_stats`], the repository
+/// benchmark in `perfbench/`) can read it without a profiling env var.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     /// Epochs executed (one barrier each).

@@ -10,7 +10,8 @@
 //! SIMD-probing table's (hashbrown runs at 7/8): a scalar linear scan
 //! degrades sharply past ~60 % occupancy, and the hot tables here are
 //! small enough that doubling slot memory is the cheap side of the trade
-//! (measured in the `perf_snapshot` bench).
+//! (`u64table_insert_get_remove` against `std_hashmap_insert_get_remove`
+//! in the committed `BENCH_5.json`–`BENCH_9.json` snapshots).
 //!
 //! Iteration ([`U64Table::iter`] and friends) walks slots in array order —
 //! **unordered**, but a pure function of the insertion/removal history, so

@@ -13,15 +13,16 @@ use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-const VARS: [&str; 8] = [
+const VARS: [&str; 9] = [
     "GARIBALDI_ENGINE",
     "GARIBALDI_WORKERS",
-    "GARIBALDI_SHARDS",
-    "GARIBALDI_EPOCH",
-    "GARIBALDI_ESTIMATOR",
     "GARIBALDI_SYNC_EVERY",
     "GARIBALDI_TRAIN_MODE",
     "GARIBALDI_BARRIER_TIMEOUT_S",
+    "GARIBALDI_ESTIMATOR",
+    "GARIBALDI_SHARDS",
+    "GARIBALDI_EPOCH",
+    "GARIBALDI_INNER_WORKERS",
 ];
 
 /// Runs `f` with exactly `vars` set, restoring a clean slate after.
@@ -66,21 +67,17 @@ fn engine_serial_reproduces_serial_engine() {
     assert_eq!(reference, plain);
 }
 
-/// `GARIBALDI_ENGINE=parallel` routes through the epoch-sharded engine
-/// with env-overridable geometry.
+/// `GARIBALDI_ENGINE=parallel` routes through the epoch-sharded engine at
+/// its default configuration.
 #[test]
 fn engine_parallel_forces_parallel_engine() {
     let r = runner();
     let s = ExperimentScale::smoke();
-    let eng = EngineConfig { workers: 1, epoch_cycles: 7_000, llc_shards: 4, ..Default::default() };
-    let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &eng);
-    let forced = with_env(
-        &[("GARIBALDI_ENGINE", "parallel"), ("GARIBALDI_EPOCH", "7000"), ("GARIBALDI_SHARDS", "4")],
-        || smoke_run(&r),
-    );
+    let reference = r.run_parallel(s.records_per_core, s.warmup_per_core, &EngineConfig::default());
+    let forced = with_env(&[("GARIBALDI_ENGINE", "parallel")], || smoke_run(&r));
     assert_eq!(reference, forced);
-    // Serial differs from the 7k-epoch parallel run on this workload
-    // (otherwise the two assertions above prove nothing).
+    // Serial differs from the default parallel run on this workload
+    // (otherwise the assertion above proves nothing).
     let serial = r.run_serial(s.records_per_core, s.warmup_per_core);
     assert_ne!(serial, reference, "engines must be distinguishable at smoke scale");
 }
@@ -201,24 +198,26 @@ fn barrier_timeout_env_is_validated_and_result_invisible() {
 }
 
 /// Every malformed value fails loudly instead of silently selecting an
-/// unintended engine or geometry — and so does the removed
-/// `GARIBALDI_ESTIMATOR`, even at its once-valid `ewma`, which used to
-/// select the parallel engine on its own.
+/// unintended engine or geometry — and so does every removed variable,
+/// even at a once-valid value (`GARIBALDI_ESTIMATOR=ewma` used to select
+/// the parallel engine on its own), naming itself as removed.
 #[test]
 fn malformed_values_panic_with_the_variable_name() {
-    let cases: [(&str, &str); 10] = [
-        ("GARIBALDI_ENGINE", "turbo"),
-        ("GARIBALDI_WORKERS", "0"),
-        ("GARIBALDI_WORKERS", "banana"),
-        ("GARIBALDI_SHARDS", "-1"),
-        ("GARIBALDI_EPOCH", "99999999999999999999999999"),
-        ("GARIBALDI_ESTIMATOR", "psychic"),
-        ("GARIBALDI_ESTIMATOR", "ewma"),
-        ("GARIBALDI_SYNC_EVERY", "0"),
-        ("GARIBALDI_SYNC_EVERY", "sometimes"),
-        ("GARIBALDI_TRAIN_MODE", "eventually"),
+    let cases: [(&str, &str, &str); 12] = [
+        ("GARIBALDI_ENGINE", "turbo", ""),
+        ("GARIBALDI_WORKERS", "0", ""),
+        ("GARIBALDI_WORKERS", "banana", ""),
+        ("GARIBALDI_SYNC_EVERY", "0", ""),
+        ("GARIBALDI_SYNC_EVERY", "sometimes", ""),
+        ("GARIBALDI_TRAIN_MODE", "eventually", ""),
+        ("GARIBALDI_ESTIMATOR", "psychic", "removed"),
+        ("GARIBALDI_ESTIMATOR", "ewma", "removed"),
+        ("GARIBALDI_SHARDS", "4", "removed"),
+        ("GARIBALDI_EPOCH", "99999999999999999999999999", "removed"),
+        ("GARIBALDI_EPOCH", "20000", "removed"),
+        ("GARIBALDI_INNER_WORKERS", "2", "removed"),
     ];
-    for (var, val) in cases {
+    for (var, val, why) in cases {
         let err = with_env(&[(var, val)], || {
             std::panic::catch_unwind(|| EngineChoice::from_env_or(EngineChoice::Serial))
                 .expect_err(&format!("{var}={val} must panic"))
@@ -228,6 +227,9 @@ fn malformed_values_panic_with_the_variable_name() {
             .cloned()
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
-        assert!(msg.contains(var), "panic for {var}={val} names the variable: {msg:?}");
+        assert!(
+            msg.contains(var) && msg.contains(why),
+            "panic for {var}={val} names the variable: {msg:?}"
+        );
     }
 }
