@@ -1,28 +1,40 @@
-//! Worker-failure containment for the parallel engine.
+//! The parallel engine's worker pool and worker-failure containment.
+//!
+//! One [`Pool`] serves a whole engine run ([`with_pool`]): its `workers − 1`
+//! helper threads are spawned when the run starts, park on a condition
+//! variable between parallel sections, and are joined before the run
+//! returns, so a run creates its OS threads once instead of once per
+//! section. The calling thread is a worker too, and `workers == 1` is the
+//! zero-helper case of the same code.
 //!
 //! Every parallel section (cluster stepping, shard drains, command
-//! applies, invalidation/correction passes, learned-state merges) runs
-//! its per-unit closures through [`run_units`], which:
+//! applies, the fused invalidation/correction pass, learned-state
+//! installs) runs its per-unit closures through [`run_units`], which
+//! dispatches them to the pool — the calling thread and the woken helpers
+//! claim units from one atomic counter, and each result lands in its
+//! unit's own slot, so results come back in item order whichever thread
+//! ran which unit — and which:
 //!
 //! * wraps each unit in `catch_unwind`, converting a worker panic into a
 //!   structured [`EngineError`] recorded in the engine's [`FailState`]
-//!   instead of a poisoned `thread::scope` abort;
+//!   instead of a process abort;
 //! * raises a cooperative cancel flag on the first failure so the
 //!   remaining queued units are skipped (their slots are filled with
 //!   `T::default()` — the engine aborts at the next check, so the values
 //!   are never used);
 //! * when a barrier watchdog timeout is configured
 //!   (`GARIBALDI_BARRIER_TIMEOUT_S`), monitors the section with a
-//!   watchdog thread that — instead of letting a stuck worker deadlock
-//!   the barrier — dumps every unit's phase state to stderr, records a
-//!   timeout [`EngineError`], and cancels the section.
+//!   per-section watchdog thread that — instead of letting a stuck unit
+//!   deadlock the barrier, whether it runs on the calling thread or on a
+//!   helper — dumps every unit's phase state to stderr, records a timeout
+//!   [`EngineError`], and cancels the section.
 //!
 //! The cancel flag is also the release signal for injected stalls
 //! ([`crate::fault`]), which is what makes the watchdog path testable
 //! without a real deadlock.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -42,7 +54,8 @@ pub struct EngineError {
     /// implicated; `None` for the pooled learned-state merge.
     pub shard: Option<usize>,
     /// Engine phase: `"step"`, `"drain"`, `"apply-cmds"`, `"install"`,
-    /// `"merge"`, `"invals"` or `"corrections"`.
+    /// `"merge"` or `"invals-corrections"` (the fused per-cluster
+    /// invalidation + latency-correction pass).
     pub phase: &'static str,
     /// The worker's panic payload, or the watchdog's timeout description.
     pub payload: String,
@@ -97,6 +110,8 @@ impl FailState {
 /// One parallel section's containment context.
 pub(super) struct SectionCtx<'a> {
     pub(super) fail: &'a FailState,
+    /// The run's worker pool, which executes the section's units.
+    pub(super) pool: &'a Pool,
     /// Epoch ordinal stamped into any [`EngineError`] from this section.
     pub(super) epoch: u64,
     /// Phase label stamped into any [`EngineError`] from this section.
@@ -130,6 +145,10 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+fn wait<'a, T>(cv: &Condvar, g: std::sync::MutexGuard<'a, T>) -> std::sync::MutexGuard<'a, T> {
+    cv.wait(g).unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Render a panic payload as text for [`EngineError::payload`].
 pub(super) fn payload_str(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
@@ -141,31 +160,166 @@ pub(super) fn payload_str(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Signals the watchdog that the section's workers have all returned.
-#[derive(Default)]
-struct DoneSignal {
-    finished: Mutex<bool>,
-    cv: Condvar,
+/// The dispatch state the parked helpers read, under [`Pool::dispatch`].
+struct Dispatch {
+    /// Bumped once per dispatched job, so a helper joins a job at most
+    /// once and a late waker never re-runs a retracted one.
+    gen: u64,
+    /// The running section's claim loop; `None` between sections. The
+    /// `'static` is erased from a borrow of [`Pool::run`]'s caller: see
+    /// the `SAFETY` comment there for why it is never used past it.
+    job: Option<&'static (dyn Fn() + Sync)>,
+    /// Helpers still allowed to join the current job.
+    room: usize,
+    /// Helpers currently inside the current job.
+    active: usize,
+    /// Set once when the run ends; helpers return.
+    shutdown: bool,
 }
 
-impl DoneSignal {
-    fn signal(&self) {
-        *lock(&self.finished) = true;
-        self.cv.notify_all();
+/// One engine run's worker pool: `helpers` parked threads, plus the
+/// thread that calls [`Pool::run`]. Created only by [`with_pool`].
+pub(super) struct Pool {
+    helpers: usize,
+    dispatch: Mutex<Dispatch>,
+    /// Helpers park here between jobs.
+    wake: Condvar,
+    /// The dispatching thread waits here for `active` to reach zero.
+    idle: Condvar,
+    /// Per-unit lifecycle states of the running section (the watchdog
+    /// dump), reused across sections. Held by the dispatching thread for
+    /// the whole section, so sections never nest.
+    states: Mutex<Vec<AtomicU8>>,
+}
+
+/// Runs `body` with a pool of `helpers` parked threads that lives exactly
+/// as long as the call: the helpers are spawned first and joined before
+/// this returns, also when `body` panics.
+pub(super) fn with_pool<R>(helpers: usize, body: impl FnOnce(&Pool) -> R) -> R {
+    let pool = Pool {
+        helpers,
+        dispatch: Mutex::new(Dispatch { gen: 0, job: None, room: 0, active: 0, shutdown: false }),
+        wake: Condvar::new(),
+        idle: Condvar::new(),
+        states: Mutex::new(Vec::new()),
+    };
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(|| pool.helper_loop());
+        }
+        /// Releases the helpers when `body` returns or unwinds, before
+        /// the scope joins them.
+        struct Shutdown<'a>(&'a Pool);
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                lock(&self.0.dispatch).shutdown = true;
+                self.0.wake.notify_all();
+            }
+        }
+        let _shutdown = Shutdown(&pool);
+        body(&pool)
+    })
+}
+
+impl Pool {
+    fn helper_loop(&self) {
+        let mut seen = 0;
+        loop {
+            let job = {
+                let mut d = lock(&self.dispatch);
+                loop {
+                    if d.shutdown {
+                        return;
+                    }
+                    if d.gen != seen {
+                        seen = d.gen;
+                        if let Some(job) = d.job.filter(|_| d.room > 0) {
+                            d.room -= 1;
+                            d.active += 1;
+                            break job;
+                        }
+                    }
+                    d = wait(&self.wake, d);
+                }
+            };
+            /// Leaves the job — also if it unwinds — and wakes the
+            /// dispatching thread when the last helper is out.
+            struct Leave<'a>(&'a Pool);
+            impl Drop for Leave<'_> {
+                fn drop(&mut self) {
+                    let mut d = lock(&self.0.dispatch);
+                    d.active -= 1;
+                    if d.active == 0 {
+                        self.0.idle.notify_all();
+                    }
+                }
+            }
+            let _leave = Leave(self);
+            job();
+        }
+    }
+
+    /// Runs `job` on the calling thread and on up to `max_helpers` of the
+    /// pool's helpers at once; returns once every participant has
+    /// returned from it. `job` must itself split the work (the helpers
+    /// and the caller all call the same closure).
+    fn run(&self, max_helpers: usize, job: &(dyn Fn() + Sync)) {
+        let room = self.helpers.min(max_helpers);
+        if room == 0 {
+            job();
+            return;
+        }
+        // SAFETY: only the lifetime is erased (same fat-pointer layout).
+        // The erased reference is reachable by helpers only through
+        // `dispatch.job`, and `Retract` — constructed before `job` is
+        // published and dropped when this function returns *or unwinds* —
+        // clears `dispatch.job` and then waits until `dispatch.active` is
+        // zero. A helper copies the reference out only under the lock
+        // while `dispatch.job` is `Some`, counting itself into `active`
+        // before releasing the lock, and leaves `active` only once its
+        // call of `job` has returned or unwound (its `Leave` guard). So
+        // every use of the reference ends before this function returns,
+        // while the borrow of `job` is still live.
+        let erased: &'static (dyn Fn() + Sync) = unsafe { std::mem::transmute(job) };
+
+        /// Retracts the job and waits until every helper has left it.
+        struct Retract<'a>(&'a Pool);
+        impl Drop for Retract<'_> {
+            fn drop(&mut self) {
+                let mut d = lock(&self.0.dispatch);
+                d.job = None;
+                while d.active > 0 {
+                    d = wait(&self.0.idle, d);
+                }
+            }
+        }
+        let _retract = Retract(self);
+        {
+            let mut d = lock(&self.dispatch);
+            d.gen += 1;
+            d.job = Some(erased);
+            d.room = room;
+        }
+        self.wake.notify_all();
+        job();
     }
 }
 
-/// Run `f(i, item)` over every item — in parallel across `workers`
-/// threads when possible — with containment and (optionally) a watchdog.
+/// A unit's item before it runs, and its result after.
+enum Slot<I, T> {
+    Queued(I),
+    Taken,
+    Done(T),
+}
+
+/// Run `f(i, item)` over every item on the section's pool, with
+/// containment and (optionally) a watchdog.
 ///
 /// Results come back indexed by item regardless of scheduling. A failed
 /// or skipped unit yields `T::default()`; the caller must consult
-/// `ctx.fail` before trusting the results. The single-threaded fast path
-/// is taken only when no watchdog is armed (the watchdog needs a
-/// monitor thread to be able to interrupt anything).
+/// `ctx.fail` before trusting the results.
 pub(super) fn run_units<I: Send, T: Send + Default>(
     items: Vec<I>,
-    workers: usize,
     ctx: &SectionCtx<'_>,
     f: impl Fn(usize, I) -> T + Sync,
 ) -> Vec<T> {
@@ -173,8 +327,16 @@ pub(super) fn run_units<I: Send, T: Send + Default>(
     if n == 0 {
         return Vec::new();
     }
-    let workers = workers.min(n).max(1);
-    let states: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(ST_QUEUED)).collect();
+    let mut states = lock(&ctx.pool.states);
+    if states.len() < n {
+        states.resize_with(n, || AtomicU8::new(ST_QUEUED));
+    }
+    let states = &states[..n];
+    for st in states {
+        st.store(ST_QUEUED, Ordering::SeqCst);
+    }
+    let slots: Vec<Mutex<Slot<I, T>>> =
+        items.into_iter().map(|item| Mutex::new(Slot::Queued(item))).collect();
     let run_one = |i: usize, item: I| -> T {
         if ctx.fail.cancelled() {
             states[i].store(ST_SKIPPED, Ordering::SeqCst);
@@ -198,40 +360,53 @@ pub(super) fn run_units<I: Send, T: Send + Default>(
             }
         }
     };
-    if workers == 1 && ctx.timeout.is_none() {
-        return items.into_iter().enumerate().map(|(i, item)| run_one(i, item)).collect();
+    // The claim counter publishes nothing: items and results travel
+    // through their slot's mutex, and `Pool::run` returns only after
+    // every participant has left (through the dispatch mutex).
+    let next = AtomicUsize::new(0);
+    let job = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let Slot::Queued(item) = std::mem::replace(&mut *lock(&slots[i]), Slot::Taken) else {
+            unreachable!("unit {i} claimed twice");
+        };
+        let v = run_one(i, item);
+        *lock(&slots[i]) = Slot::Done(v);
+    };
+    match ctx.timeout {
+        None => ctx.pool.run(n - 1, &job),
+        Some(timeout) => {
+            let done = DoneSignal::default();
+            std::thread::scope(|s| {
+                s.spawn(|| watchdog(timeout, ctx, states, &done));
+                ctx.pool.run(n - 1, &job);
+                done.signal();
+            });
+        }
     }
+    slots
+        .into_iter()
+        .map(|s| match s.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Slot::Done(v) => v,
+            Slot::Queued(_) | Slot::Taken => T::default(),
+        })
+        .collect()
+}
 
-    let chunk = n.div_ceil(workers);
-    let mut chunks: Vec<Vec<(usize, I)>> = Vec::with_capacity(workers);
-    for (i, item) in items.into_iter().enumerate() {
-        if i % chunk == 0 {
-            chunks.push(Vec::with_capacity(chunk));
-        }
-        chunks.last_mut().expect("chunk pushed").push((i, item));
+/// Signals the watchdog that the section's units have all returned.
+#[derive(Default)]
+struct DoneSignal {
+    finished: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl DoneSignal {
+    fn signal(&self) {
+        *lock(&self.finished) = true;
+        self.cv.notify_all();
     }
-    let done = DoneSignal::default();
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|ch| {
-                let run_one = &run_one;
-                s.spawn(move || {
-                    ch.into_iter().map(|(i, item)| run_one(i, item)).collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        if let Some(timeout) = ctx.timeout {
-            let (states, done) = (&states, &done);
-            s.spawn(move || watchdog(timeout, ctx, states, done));
-        }
-        for h in handles {
-            out.extend(h.join().expect("contained worker"));
-        }
-        done.signal();
-    });
-    out
 }
 
 /// Waits for the section to finish or the deadline to pass; on timeout,
@@ -275,22 +450,47 @@ fn watchdog(timeout: Duration, ctx: &SectionCtx<'_>, states: &[AtomicU8], done: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ThreadId;
 
-    fn ctx(fail: &FailState, timeout: Option<Duration>) -> SectionCtx<'_> {
-        SectionCtx { fail, epoch: 5, phase: "drain", timeout }
+    fn ctx<'a>(fail: &'a FailState, pool: &'a Pool, timeout: Option<Duration>) -> SectionCtx<'a> {
+        SectionCtx { fail, pool, epoch: 5, phase: "drain", timeout }
     }
 
+    /// `run_units` on a one-section pool of `workers` threads.
+    fn run_once<I: Send, T: Send + Default>(
+        items: Vec<I>,
+        workers: usize,
+        fail: &FailState,
+        timeout: Option<Duration>,
+        f: impl Fn(usize, I) -> T + Sync,
+    ) -> Vec<T> {
+        with_pool(workers - 1, |pool| run_units(items, &ctx(fail, pool, timeout), f))
+    }
+
+    /// One pool serves many consecutive sections, each result in its
+    /// item's slot, and only the pool's threads run units.
     #[test]
     fn results_come_back_in_item_order() {
         for workers in [1, 2, 4, 7] {
             let fail = FailState::default();
-            let items: Vec<usize> = (0..10).collect();
-            let out = run_units(items, workers, &ctx(&fail, None), |i, v| {
-                assert_eq!(i, v);
-                v * 3
+            let threads = Mutex::new(std::collections::HashSet::<ThreadId>::new());
+            with_pool(workers - 1, |pool| {
+                for section in 0..120usize {
+                    // Section sizes straddle the pool size: fewer units
+                    // than threads, equal, and many more.
+                    let n = 1 + section % 11;
+                    let out = run_units((0..n).collect(), &ctx(&fail, pool, None), |i, v| {
+                        assert_eq!(i, v);
+                        lock(&threads).insert(std::thread::current().id());
+                        v * 1000 + section
+                    });
+                    let want: Vec<usize> = (0..n).map(|v| v * 1000 + section).collect();
+                    assert_eq!(out, want, "workers {workers}, section {section}");
+                }
             });
-            assert_eq!(out, (0..10).map(|v| v * 3).collect::<Vec<_>>());
             assert!(fail.take().is_none());
+            let used = lock(&threads).len();
+            assert!(used <= workers, "{used} threads ran units of a {workers}-worker pool");
         }
     }
 
@@ -298,7 +498,7 @@ mod tests {
     fn a_panicking_unit_becomes_a_structured_error() {
         for workers in [1, 3] {
             let fail = FailState::default();
-            let out = run_units((0..6).collect(), workers, &ctx(&fail, None), |_, v: i32| {
+            let out = run_once((0..6).collect(), workers, &fail, None, |_, v: i32| {
                 assert!(v != 4, "unit four exploded");
                 v
             });
@@ -315,53 +515,95 @@ mod tests {
     }
 
     #[test]
+    fn a_unit_panic_leaves_the_pool_serving_the_next_section() {
+        for workers in [1, 2, 4] {
+            with_pool(workers - 1, |pool| {
+                let failed = FailState::default();
+                let _ = run_units((0..8).collect(), &ctx(&failed, pool, None), |_, v: i32| {
+                    assert!(v != 2, "unit two exploded");
+                    v
+                });
+                assert_eq!(failed.take().expect("failure recorded").shard, Some(2));
+                // A fresh latch: the same helpers run every unit again.
+                let fresh = FailState::default();
+                let ran = AtomicUsize::new(0);
+                let out = run_units((0..8).collect(), &ctx(&fresh, pool, None), |_, v: i32| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    v + 1
+                });
+                assert_eq!(out, (1..9).collect::<Vec<_>>(), "workers {workers}");
+                assert_eq!(ran.load(Ordering::SeqCst), 8, "no unit skipped");
+                assert!(fresh.take().is_none());
+            });
+        }
+    }
+
+    #[test]
     fn first_failure_wins_and_cancel_skips_queued_units() {
         let fail = FailState::default();
         fail.record(EngineError { epoch: 1, shard: None, phase: "merge", payload: "a".into() });
         fail.record(EngineError { epoch: 2, shard: None, phase: "merge", payload: "b".into() });
         assert_eq!(fail.take().expect("kept").payload, "a");
         // cancel stays raised after take(): everything now skips.
-        let out = run_units((0..4).collect(), 2, &ctx(&fail, None), |_, v: i32| v + 1);
+        let out = run_once((0..4).collect(), 2, &fail, None, |_, v: i32| v + 1);
         assert_eq!(out, vec![0; 4], "all units skipped");
     }
 
-    #[test]
-    fn watchdog_fires_on_a_stuck_unit_and_cancels_it() {
+    /// Runs a 2-worker, 4-unit watchdog section in which the first unit
+    /// that starts on the calling thread (`on_caller`) or on the helper
+    /// (`!on_caller`) stalls until cancelled. Units on the other thread
+    /// wait until the stall has begun, so neither thread can claim every
+    /// unit first and the stall lands where the test wants it.
+    fn stall_one_unit(on_caller: bool) -> (EngineError, usize) {
+        let caller = std::thread::current().id();
         let fail = FailState::default();
-        let out = run_units(
-            (0..3).collect(),
-            2,
-            &ctx(&fail, Some(Duration::from_millis(50))),
-            |i, v: i32| {
-                if i == 1 {
-                    // A stuck worker that honors the cancel flag (like an
+        let stalled = AtomicUsize::new(usize::MAX);
+        let cap = Instant::now() + Duration::from_secs(10);
+        let out =
+            run_once((0..4).collect(), 2, &fail, Some(Duration::from_millis(50)), |i, v: i32| {
+                let here = (std::thread::current().id() == caller) == on_caller;
+                if here
+                    && stalled
+                        .compare_exchange(usize::MAX, i, Ordering::SeqCst, Ordering::SeqCst)
+                        .is_ok()
+                {
+                    // A stuck unit that honors the cancel flag (like an
                     // injected stall): without the watchdog this would
                     // block the section forever.
-                    let cap = Instant::now() + Duration::from_secs(10);
                     while !fail.cancelled() {
                         assert!(Instant::now() < cap, "watchdog never fired");
                         std::thread::sleep(Duration::from_millis(1));
                     }
+                } else if !here {
+                    while stalled.load(Ordering::SeqCst) == usize::MAX {
+                        assert!(Instant::now() < cap, "the stalling thread never ran a unit");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                 }
                 v
-            },
-        );
-        assert_eq!(out.len(), 3);
-        let e = fail.take().expect("timeout recorded");
-        assert!(e.payload.contains("watchdog timeout"), "{}", e.payload);
-        assert!(e.payload.contains("running"), "dump embedded: {}", e.payload);
-        assert_eq!(e.shard, Some(1), "stuck unit identified");
+            });
+        assert_eq!(out.len(), 4);
+        (fail.take().expect("timeout recorded"), stalled.load(Ordering::SeqCst))
+    }
+
+    /// The watchdog breaks a stall wherever the stuck unit runs: on the
+    /// calling thread (which then cannot monitor anything itself) or on a
+    /// pool helper.
+    #[test]
+    fn watchdog_fires_on_a_stuck_unit_and_cancels_it() {
+        for on_caller in [true, false] {
+            let (e, stalled) = stall_one_unit(on_caller);
+            assert!(e.payload.contains("watchdog timeout"), "{}", e.payload);
+            assert!(e.payload.contains("running"), "dump embedded: {}", e.payload);
+            assert_eq!(e.shard, Some(stalled), "stuck unit identified (on caller: {on_caller})");
+        }
     }
 
     #[test]
     fn watchdog_does_not_fire_on_a_fast_section() {
         let fail = FailState::default();
-        let out = run_units(
-            (0..8).collect(),
-            4,
-            &ctx(&fail, Some(Duration::from_secs(30))),
-            |_, v: i32| v,
-        );
+        let out =
+            run_once((0..8).collect(), 4, &fail, Some(Duration::from_secs(30)), |_, v: i32| v);
         assert_eq!(out, (0..8).collect::<Vec<_>>());
         assert!(fail.take().is_none());
     }

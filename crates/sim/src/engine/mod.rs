@@ -21,18 +21,26 @@
 //!    and the Fig 4c conditional matrix in the same deterministic order;
 //!    cross-shard Garibaldi traffic (pair updates keyed by the instruction
 //!    line's shard, pairwise prefetch fills keyed by the data line's) is
-//!    key-merged and applied in a second parallel shard pass; coherence
-//!    invalidations flow back to the private tiers; every `sync_every`-th
-//!    barrier the shards pool their replacement-policy learned
-//!    state (merged on the barrier path under [`estimate::TrainMode::Sync`],
-//!    or — under [`estimate::TrainMode::Async`] — merged overlapped with
-//!    the next epoch's step phase and installed one barrier late, with
-//!    pair-table confidence updates privatized per source shard); and
-//!    every core's issue-time latency estimates are corrected
-//!    to the drained outcomes, which also train the core's
-//!    [`estimate::Ewma`] estimator. All barrier orders are restored by
-//!    stable k-way merges of already-sorted runs ([`merge`]), never by
-//!    comparison sorts.
+//!    key-merged and applied in a second parallel shard pass; every
+//!    `sync_every`-th barrier the shards pool their replacement-policy
+//!    learned state (merged on the barrier path under
+//!    [`estimate::TrainMode::Sync`], or — under
+//!    [`estimate::TrainMode::Async`] — merged overlapped with the next
+//!    epoch's step phase and installed one barrier late, with pair-table
+//!    confidence updates privatized per source shard); and one parallel
+//!    cluster pass applies the coherence invalidations to the private
+//!    tiers and corrects every core's issue-time latency estimates to the
+//!    drained outcomes, which also train the core's [`estimate::Ewma`]
+//!    estimator. All barrier orders are restored by stable k-way merges
+//!    of already-sorted runs ([`merge`]), never by comparison sorts.
+//!
+//! **Threads**: a run owns one worker pool (`contain::with_pool`) — the
+//! calling thread plus `workers − 1` helpers, started when the run starts
+//! and joined before it returns — and every parallel section (four per
+//! epoch: step, drain, apply-cmds, invals-corrections; plus an install on
+//! learned-sync barriers) is dispatched to it. No section spawns a thread
+//! except the opt-in barrier watchdog's monitor and, under async
+//! training, the overlapped learned-state merge.
 //!
 //! Every reduction and drain order is indexed by cluster/shard/core id —
 //! never by worker — so a run's `RunResult` is **bit-identical for any
@@ -63,7 +71,7 @@ use crate::energy::{EnergyEvents, EnergyModel};
 use crate::fault;
 use crate::metrics::{ConditionalMatrix, GaribaldiReport, ReuseSummary, RunResult};
 use crate::reuse::ReuseProfiler;
-use contain::{payload_str, FailState, SectionCtx};
+use contain::{payload_str, FailState, Pool, SectionCtx};
 use estimate::{EstimatorStats, TrainMode};
 use garibaldi::ThresholdUnit;
 use garibaldi_cache::{CacheConfig, CacheStats};
@@ -96,12 +104,13 @@ struct ShardBuf {
 }
 
 /// Wall-clock phase breakdown of an engine run, accumulated across every
-/// epoch (warmup + measured). The phase boundaries match the historical
-/// `GARIBALDI_ENGINE_STATS=1` lines: `step` is the parallel cluster
-/// stepping, `drain` the parallel per-shard phase A, `merge` the
-/// learned-state merge/install work on the barrier path, `apply` the
-/// invalidation/correction tail, and `serial` the barrier remainder
-/// (outcome scatter, threshold replay, command routing).
+/// epoch (warmup + measured), printed by the `GARIBALDI_ENGINE_STATS=1`
+/// lines: `step` is the parallel cluster stepping, `drain` the parallel
+/// per-shard phase A, `merge` the learned-state merge/install work on
+/// the barrier path, `apply` the parallel write-back work (cross-shard
+/// command apply plus the invalidation/correction pass), and `serial`
+/// the barrier's single-threaded remainder (request bucketing, outcome
+/// scatter, threshold replay, command routing).
 /// Collection is always on — a handful of `Instant` reads per barrier —
 /// so callers ([`crate::SimRunner::run_parallel_stats`], the repository
 /// benchmark in `perfbench/`) can read it without a profiling env var.
@@ -133,10 +142,15 @@ pub struct EngineStats {
     /// installed at the exporting barrier), +1 per sync under async
     /// training (the consensus lands at the next barrier's entry).
     pub publish_lag: u64,
-    /// Invalidation + correction seconds (barrier tail, minus the
-    /// learned-state work accounted in `merge_s`).
+    /// Parallel write-back seconds: the cross-shard command apply (phase
+    /// B′) plus the invalidation merge and the fused per-cluster
+    /// invalidation + latency-correction section. Excludes the
+    /// learned-state work accounted in `merge_s`.
     pub apply_s: f64,
-    /// Serial barrier remainder seconds.
+    /// Single-threaded barrier seconds, the barrier minus `drain_s`,
+    /// `merge_s` and `apply_s`: request bucketing by shard, outcome
+    /// scatter, the threshold/conditional-matrix replay and cross-shard
+    /// command routing.
     pub serial_s: f64,
     /// End-to-end engine wall seconds (set by the run entry points).
     pub wall_s: f64,
@@ -192,6 +206,10 @@ pub struct ParallelEngine<'p> {
     llc_sets: usize,
     /// Per-shard request buffers + drain outputs, reused across barriers.
     shard_bufs: Vec<ShardBuf>,
+    /// Threshold-replay merge cursors (one per core) and heap, reused
+    /// across barriers.
+    replay_pos: Vec<usize>,
+    replay_heap: BinaryHeap<Reverse<(ReqKey, usize)>>,
     /// Cross-shard command merge scratch, reused across barriers.
     cmd_merged: Vec<(ReqKey, ShardCmd)>,
     /// Per-target-shard command routing buffers, reused across barriers.
@@ -273,6 +291,8 @@ impl<'p> ParallelEngine<'p> {
             invalidations: 0,
             llc_sets,
             shard_bufs: vec![ShardBuf::default(); n_shards],
+            replay_pos: Vec::new(),
+            replay_heap: BinaryHeap::new(),
             cmd_merged: Vec::new(),
             cmd_routed: vec![Vec::new(); n_shards],
             inval_merged: Vec::new(),
@@ -333,14 +353,21 @@ impl<'p> ParallelEngine<'p> {
         warmup: u64,
     ) -> Result<(RunResult, EngineStats), EngineError> {
         let t0 = std::time::Instant::now();
-        self.advance_to(warmup)?;
-        self.reset_stats();
-        for cl in &mut self.clusters {
-            for c in cl.cores.iter_mut() {
-                c.snapshot();
+        // One pool serves every parallel section of the run: the calling
+        // thread plus `workers − 1` helpers (never more threads than the
+        // widest section has units), joined before this returns.
+        let widest = self.clusters.len().max(self.shards.len());
+        let helpers = self.eng.workers.min(widest).max(1) - 1;
+        contain::with_pool(helpers, |pool| {
+            self.advance_to(pool, warmup)?;
+            self.reset_stats();
+            for cl in &mut self.clusters {
+                for c in cl.cores.iter_mut() {
+                    c.snapshot();
+                }
             }
-        }
-        self.advance_to(warmup + records)?;
+            self.advance_to(pool, warmup + records)
+        })?;
         let mut stats = self.stats.clone();
         stats.wall_s = t0.elapsed().as_secs_f64();
         Ok((self.collect(), stats))
@@ -351,7 +378,7 @@ impl<'p> ParallelEngine<'p> {
         shard_of_set(llc_sets, n_shards, (line.get() % llc_sets as u64) as usize)
     }
 
-    fn advance_to(&mut self, target: u64) -> Result<(), EngineError> {
+    fn advance_to(&mut self, pool: &Pool, target: u64) -> Result<(), EngineError> {
         let w = self.eng.epoch_cycles as f64;
         let profile = std::env::var_os("GARIBALDI_ENGINE_STATS").is_some();
         let before = self.stats.clone();
@@ -367,7 +394,6 @@ impl<'p> ParallelEngine<'p> {
             let epoch = self.stats.epochs;
 
             let t0 = std::time::Instant::now();
-            let workers = self.eng.workers.min(self.clusters.len()).max(1);
             let (fail, timeout) = (&self.fail, self.watchdog);
             if self.merge_pending {
                 // Async training: fold the privatized learned-state
@@ -396,8 +422,8 @@ impl<'p> ParallelEngine<'p> {
                         }
                         tm.elapsed().as_secs_f64()
                     });
-                    let ctx = SectionCtx { fail, epoch, phase: "step", timeout };
-                    run_per_cluster(clusters, workers, &ctx, |i, cl| {
+                    let ctx = SectionCtx { fail, pool, epoch, phase: "step", timeout };
+                    run_per_cluster(clusters, &ctx, |i, cl| {
                         fault::engine_hook(fault::Site::Step, epoch, i, fail.cancel_flag());
                         cl.step_epoch(epoch_end, target);
                     });
@@ -405,8 +431,8 @@ impl<'p> ParallelEngine<'p> {
                 });
                 self.stats.merge_bg_s += bg;
             } else {
-                let ctx = SectionCtx { fail, epoch, phase: "step", timeout };
-                run_per_cluster(&mut self.clusters, workers, &ctx, |i, cl| {
+                let ctx = SectionCtx { fail, pool, epoch, phase: "step", timeout };
+                run_per_cluster(&mut self.clusters, &ctx, |i, cl| {
                     fault::engine_hook(fault::Site::Step, epoch, i, fail.cancel_flag());
                     cl.step_epoch(epoch_end, target);
                 });
@@ -414,13 +440,14 @@ impl<'p> ParallelEngine<'p> {
             let t1 = std::time::Instant::now();
             self.stats.step_s += (t1 - t0).as_secs_f64();
             self.check()?;
-            self.barrier()?;
+            self.barrier(pool)?;
         }
         if profile {
-            // The cluster-step phase and the two shard passes inside the
-            // barrier run on `workers` threads; only the threshold replay,
-            // routing and scatters are serial. This breakdown estimates the
-            // parallel fraction on hosts with more cores than this one.
+            // The cluster-step phase and the barrier's shard and cluster
+            // passes run on the pool's `workers` threads; only the
+            // bucketing, threshold replay, routing and scatters are
+            // serial. This breakdown estimates the parallel fraction on
+            // hosts with more cores than this one.
             let d = &self.stats;
             eprintln!(
                 "[engine] target={target} epochs={} step={:.3}s barrier={:.3}s \
@@ -464,29 +491,29 @@ impl<'p> ParallelEngine<'p> {
     /// across barriers; the only remaining per-barrier allocations are a
     /// few shard-count-sized pointer vectors (the borrowed `runs` /
     /// `cmd_runs` / `inval_runs` slice lists, which cannot outlive their
-    /// borrow and cost tens of words each).
-    fn barrier(&mut self) -> Result<(), EngineError> {
+    /// borrow and cost tens of words each) and each section's unit slots.
+    fn barrier(&mut self, pool: &Pool) -> Result<(), EngineError> {
         let t0 = std::time::Instant::now();
         let n_shards = self.shards.len();
-        let workers = self.eng.workers.max(1);
         let epoch = self.stats.epochs;
         let timeout = self.watchdog;
         self.stats.barriers += 1;
 
         // Async training: install the consensus merged during the step
-        // phase (from exports taken at the previous sync barrier's tail)
-        // before phase A consults the policies. Deferring the install
-        // from the exporting barrier's tail to here crosses only cluster
-        // stepping, which never touches shard policies — so the learned
-        // bytes installed are identical to a tail install; the lag the
-        // *next* training interval sees is what the fidelity sweep gates.
+        // phase (from exports taken at the previous sync barrier) before
+        // phase A consults the policies. Deferring the install from the
+        // exporting barrier to here crosses only cluster stepping, which
+        // never touches shard policies — so the learned bytes installed
+        // are identical to an install at the exporting barrier; the lag
+        // the *next* training interval sees is what the fidelity sweep
+        // gates.
         let mut t_install = std::time::Duration::ZERO;
         if self.merge_pending {
             let tm = std::time::Instant::now();
             let merged = &self.learned_merged;
-            let ctx = SectionCtx { fail: &self.fail, epoch, phase: "install", timeout };
+            let ctx = SectionCtx { fail: &self.fail, pool, epoch, phase: "install", timeout };
             let _: Vec<()> =
-                run_per_shard(&mut self.shards, &mut self.shard_bufs, workers, &ctx, |_, sh, _| {
+                run_per_shard(&mut self.shards, &mut self.shard_bufs, &ctx, |_, sh, _| {
                     sh.install_policy_learned(merged)
                 });
             self.merge_pending = false;
@@ -530,13 +557,9 @@ impl<'p> ParallelEngine<'p> {
         // one shard's work) to feed the imbalance account.
         let td = std::time::Instant::now();
         let fail = &self.fail;
-        let drain_ctx = SectionCtx { fail, epoch, phase: "drain", timeout };
-        let shard_times: Vec<f64> = run_per_shard(
-            &mut self.shards,
-            &mut self.shard_bufs,
-            workers,
-            &drain_ctx,
-            |i, sh, buf| {
+        let drain_ctx = SectionCtx { fail, pool, epoch, phase: "drain", timeout };
+        let shard_times: Vec<f64> =
+            run_per_shard(&mut self.shards, &mut self.shard_bufs, &drain_ctx, |i, sh, buf| {
                 fault::engine_hook(fault::Site::Drain, epoch, i, fail.cancel_flag());
                 let ts = std::time::Instant::now();
                 let ShardBuf { reqs, run_ends, merged, out } = buf;
@@ -549,8 +572,7 @@ impl<'p> ParallelEngine<'p> {
                 kway_merge_into(&runs, |r| r.key, merged);
                 sh.drain(merged, snap, out);
                 ts.elapsed().as_secs_f64()
-            },
-        );
+            });
         let t_drain = td.elapsed();
         self.check()?;
         if self.stats.shard_drain_s.len() != shard_times.len() {
@@ -624,33 +646,13 @@ impl<'p> ParallelEngine<'p> {
                 self.cmd_routed[route(&cmd)].push((k, cmd));
             }
         }
-        let cmds_ctx = SectionCtx { fail: &self.fail, epoch, phase: "apply-cmds", timeout };
-        let _: Vec<()> = run_per_shard(
-            &mut self.shards,
-            &mut self.cmd_routed,
-            workers,
-            &cmds_ctx,
-            |_, sh, buf| {
+        let tc = std::time::Instant::now();
+        let cmds_ctx = SectionCtx { fail: &self.fail, pool, epoch, phase: "apply-cmds", timeout };
+        let _: Vec<()> =
+            run_per_shard(&mut self.shards, &mut self.cmd_routed, &cmds_ctx, |_, sh, buf| {
                 sh.apply_cmds(buf, snap);
-            },
-        );
-        self.check()?;
-
-        // Coherence invalidations flow back to the private tiers (also
-        // per-shard sorted runs; at most one invalidation per request, so
-        // keys are unique and the merge is exactly the old sorted order).
-        let ta = std::time::Instant::now();
-        let inval_runs: Vec<&[(ReqKey, InvalCmd)]> =
-            self.shard_bufs.iter().map(|b| b.out.invals.as_slice()).collect();
-        kway_merge_into(&inval_runs, |&(k, _)| k, &mut self.inval_merged);
-        let invals = &self.inval_merged;
-        self.stats.inval_cmds +=
-            invals.iter().map(|(_, c)| c.others.count_ones() as u64).sum::<u64>();
-        let invals_ctx = SectionCtx { fail: &self.fail, epoch, phase: "invals", timeout };
-        let dropped = run_per_cluster(&mut self.clusters, workers, &invals_ctx, |_, cl| {
-            cl.apply_invals(invals)
-        });
-        self.invalidations += dropped.iter().sum::<u64>();
+            });
+        let t_cmds = tc.elapsed();
         self.check()?;
 
         // Learned-state sync: every shard's replacement policy trained its
@@ -659,7 +661,9 @@ impl<'p> ParallelEngine<'p> {
         // merged once into a pooled consensus, and every shard installs
         // it, so the sharded policy tracks the serial engine's one
         // globally-trained instance. Exports are indexed by shard and the
-        // merge is a pure function of them — worker-count invariant.
+        // merge is a pure function of them — worker-count invariant. The
+        // sync touches shards only and the invalidation/correction pass
+        // below clusters only, so running it first changes no bytes.
         //
         // The sync runs every `sync_every`-th barrier (`--sync-every` /
         // `GARIBALDI_SYNC_EVERY`): the barrier count is a pure function of
@@ -699,11 +703,11 @@ impl<'p> ParallelEngine<'p> {
                         }
                         self.check()?;
                         let merged = &self.learned_merged;
-                        let ctx = SectionCtx { fail: &self.fail, epoch, phase: "install", timeout };
+                        let ctx =
+                            SectionCtx { fail: &self.fail, pool, epoch, phase: "install", timeout };
                         let _: Vec<()> = run_per_shard(
                             &mut self.shards,
                             &mut self.shard_bufs,
-                            workers,
                             &ctx,
                             |_, sh, _| sh.install_policy_learned(merged),
                         );
@@ -721,10 +725,28 @@ impl<'p> ParallelEngine<'p> {
             t_sync = tm.elapsed();
         }
 
-        // Latency corrections + epoch reset.
-        let corr_ctx = SectionCtx { fail: &self.fail, epoch, phase: "corrections", timeout };
-        run_per_cluster(&mut self.clusters, workers, &corr_ctx, |_, cl| cl.apply_corrections());
-        let t_apply = ta.elapsed() - t_sync;
+        // Coherence invalidations flow back to the private tiers (also
+        // per-shard sorted runs; at most one invalidation per request, so
+        // keys are unique and the merge is exactly the old sorted order),
+        // then each cluster corrects its cores' latencies to the drained
+        // outcomes and resets its epoch state — one per-cluster section
+        // (both passes touch only their own cluster).
+        let ta = std::time::Instant::now();
+        let inval_runs: Vec<&[(ReqKey, InvalCmd)]> =
+            self.shard_bufs.iter().map(|b| b.out.invals.as_slice()).collect();
+        kway_merge_into(&inval_runs, |&(k, _)| k, &mut self.inval_merged);
+        let invals = &self.inval_merged;
+        self.stats.inval_cmds +=
+            invals.iter().map(|(_, c)| c.others.count_ones() as u64).sum::<u64>();
+        let tail_ctx =
+            SectionCtx { fail: &self.fail, pool, epoch, phase: "invals-corrections", timeout };
+        let dropped = run_per_cluster(&mut self.clusters, &tail_ctx, |_, cl| {
+            let dropped = cl.apply_invals(invals);
+            cl.apply_corrections();
+            dropped
+        });
+        self.invalidations += dropped.iter().sum::<u64>();
+        let t_apply = t_cmds + ta.elapsed();
         let total = t0.elapsed();
         self.stats.drain_s += t_drain.as_secs_f64();
         self.stats.merge_s += (t_install + t_sync).as_secs_f64();
@@ -737,63 +759,68 @@ impl<'p> ParallelEngine<'p> {
     /// conditional matrix, merged across cores in `(timestamp, core, seq)`
     /// order — the same order the shards drained in. The matrix is pure
     /// commutative counters, so when no threshold unit is configured the
-    /// merge is skipped and cores are walked directly.
+    /// merge is skipped and cores are walked directly. Cores are named by
+    /// their global index (cluster `i / l2_cluster_size`, slot
+    /// `i % l2_cluster_size`), so the merge cursors and heap are
+    /// engine-owned scratch reused across barriers.
     fn replay_outcomes(&mut self) {
         let mut th = self.threshold.take();
         let mut cond = self.cond;
         let i_oracle = self.cfg.i_oracle;
-        {
-            let cores: Vec<&EpochCore<'_>> =
-                self.clusters.iter().flat_map(|cl| cl.cores.iter()).collect();
-            let mut visit = |c: &EpochCore<'_>, r: &LlcRequest, th: &mut Option<ThresholdUnit>| {
-                match r.kind {
-                    // The serial oracle path bypasses the module entirely.
-                    ReqKind::Instr { demand: true } if !i_oracle => {
-                        let o = c.outcomes[r.key.seq as usize];
-                        if let Some(t) = th.as_mut() {
-                            t.on_llc_access(o.llc_hit);
-                            if !o.llc_hit {
-                                t.record_instr_miss(ThreadId::new(r.key.core), r.pc);
-                            }
+        let csize = self.cfg.l2_cluster_size;
+        let clusters = &self.clusters;
+        let core = |i: usize| &clusters[i / csize].cores[i % csize];
+        let mut visit = |c: &EpochCore<'_>, r: &LlcRequest, th: &mut Option<ThresholdUnit>| {
+            match r.kind {
+                // The serial oracle path bypasses the module entirely.
+                ReqKind::Instr { demand: true } if !i_oracle => {
+                    let o = c.outcomes[r.key.seq as usize];
+                    if let Some(t) = th.as_mut() {
+                        t.on_llc_access(o.llc_hit);
+                        if !o.llc_hit {
+                            t.record_instr_miss(ThreadId::new(r.key.core), r.pc);
                         }
                     }
-                    ReqKind::Data { ifetch_seq, .. } => {
-                        let o = c.outcomes[r.key.seq as usize];
-                        if let Some(t) = th.as_mut() {
-                            t.on_llc_access(o.llc_hit);
-                            t.record_data_access(ThreadId::new(r.key.core), r.pc, o.llc_hit);
-                        }
-                        if let Some(fs) = ifetch_seq {
-                            let io = c.outcomes[fs as usize];
-                            cond.record(!io.llc_hit, o.llc_hit);
-                        }
-                    }
-                    _ => {}
                 }
-            };
-            if th.is_none() {
-                for c in &cores {
-                    for &idx in &c.demand_idx {
-                        visit(c, &c.reqs[idx as usize], &mut th);
+                ReqKind::Data { ifetch_seq, .. } => {
+                    let o = c.outcomes[r.key.seq as usize];
+                    if let Some(t) = th.as_mut() {
+                        t.on_llc_access(o.llc_hit);
+                        t.record_data_access(ThreadId::new(r.key.core), r.pc, o.llc_hit);
+                    }
+                    if let Some(fs) = ifetch_seq {
+                        let io = c.outcomes[fs as usize];
+                        cond.record(!io.llc_hit, o.llc_hit);
                     }
                 }
-            } else {
-                let mut pos = vec![0usize; cores.len()];
-                let mut heap = BinaryHeap::new();
-                for (i, c) in cores.iter().enumerate() {
-                    if let Some(&idx) = c.demand_idx.first() {
-                        heap.push(Reverse((c.reqs[idx as usize].key, i)));
-                    }
+                _ => {}
+            }
+        };
+        if th.is_none() {
+            for c in clusters.iter().flat_map(|cl| cl.cores.iter()) {
+                for &idx in &c.demand_idx {
+                    visit(c, &c.reqs[idx as usize], &mut th);
                 }
-                while let Some(Reverse((_, i))) = heap.pop() {
-                    let c = cores[i];
-                    let r = &c.reqs[c.demand_idx[pos[i]] as usize];
-                    pos[i] += 1;
-                    if pos[i] < c.demand_idx.len() {
-                        heap.push(Reverse((c.reqs[c.demand_idx[pos[i]] as usize].key, i)));
-                    }
-                    visit(c, r, &mut th);
+            }
+        } else {
+            let (pos, heap) = (&mut self.replay_pos, &mut self.replay_heap);
+            pos.clear();
+            pos.resize(self.cfg.cores, 0);
+            heap.clear();
+            for i in 0..self.cfg.cores {
+                let c = core(i);
+                if let Some(&idx) = c.demand_idx.first() {
+                    heap.push(Reverse((c.reqs[idx as usize].key, i)));
                 }
+            }
+            while let Some(Reverse((_, i))) = heap.pop() {
+                let c = core(i);
+                let r = &c.reqs[c.demand_idx[pos[i]] as usize];
+                pos[i] += 1;
+                if pos[i] < c.demand_idx.len() {
+                    heap.push(Reverse((c.reqs[c.demand_idx[pos[i]] as usize].key, i)));
+                }
+                visit(c, r, &mut th);
             }
         }
         self.threshold = th;
@@ -944,31 +971,29 @@ impl<'p> ParallelEngine<'p> {
 }
 
 /// Runs `f` over `(index, shard, buffer)` triples through the contained
-/// section machinery ([`contain::run_units`]): parallel when `workers >
-/// 1`, panics converted to [`EngineError`]s in `ctx.fail`, watchdog
-/// armed when `ctx.timeout` is set. Results come back indexed by shard
-/// regardless of scheduling (failed/skipped slots are `T::default()`).
+/// section machinery ([`contain::run_units`]): on the run's pool, panics
+/// converted to [`EngineError`]s in `ctx.fail`, watchdog armed when
+/// `ctx.timeout` is set. Results come back indexed by shard regardless of
+/// scheduling (failed/skipped slots are `T::default()`).
 fn run_per_shard<B: Send, T: Send + Default>(
     shards: &mut [LlcShard],
     bufs: &mut [B],
-    workers: usize,
     ctx: &SectionCtx<'_>,
     f: impl Fn(usize, &mut LlcShard, &mut B) -> T + Sync,
 ) -> Vec<T> {
     let items: Vec<(&mut LlcShard, &mut B)> = shards.iter_mut().zip(bufs.iter_mut()).collect();
-    contain::run_units(items, workers, ctx, |i, (sh, b)| f(i, sh, b))
+    contain::run_units(items, ctx, |i, (sh, b)| f(i, sh, b))
 }
 
 /// Runs `f` over `(index, cluster)` pairs through the contained section
 /// machinery; see [`run_per_shard`].
 fn run_per_cluster<'p, T: Send + Default>(
     clusters: &mut [ClusterSim<'p>],
-    workers: usize,
     ctx: &SectionCtx<'_>,
     f: impl Fn(usize, &mut ClusterSim<'p>) -> T + Sync,
 ) -> Vec<T> {
     let items: Vec<&mut ClusterSim<'p>> = clusters.iter_mut().collect();
-    contain::run_units(items, workers, ctx, f)
+    contain::run_units(items, ctx, f)
 }
 
 #[cfg(test)]
